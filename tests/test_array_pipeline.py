@@ -9,9 +9,10 @@ Three layers of guarantees:
 * **Batch = scalar** -- the batched pair kernels consume per-pair streams in
   the same order as the scalar kernels, so every partition of a pair range
   (including uneven ones) merges to the bit-identical full-range result.
-* **Golden JSON** -- the pair-based experiments (fig5, fig6, aging) and the
-  sharded Monte Carlo table (table11) encode byte-identically to JSON
-  captured from the pre-array-native scalar implementation
+* **Golden JSON** -- the pair-based experiments (fig5, fig6, aging), the
+  sharded Monte Carlo table (table11), the memory-controller simulations
+  (fig8, fig9) and the NIST suite (table10) encode byte-identically to JSON
+  captured before their hot paths were rewritten
   (``tests/golden/*_quick.json``).
 """
 
@@ -515,10 +516,13 @@ class TestEvaluationCounterMetadata:
 
 
 class TestGoldenExperimentJSON:
-    """Array-native + batched execution is byte-identical to the scalar-era
-    JSON captured from the pre-refactor implementation."""
+    """Optimised execution is byte-identical to the JSON captured from the
+    pre-refactor implementations (scalar-era PUF kernels, hash-based
+    memory-controller timing, bit-serial Berlekamp-Massey and scipy p-values)."""
 
-    @pytest.mark.parametrize("experiment_id", ["fig5", "fig6", "aging", "table11"])
+    @pytest.mark.parametrize(
+        "experiment_id", ["fig5", "fig6", "aging", "table11", "fig8", "fig9", "table10"]
+    )
     def test_quick_json_matches_golden(self, experiment_id):
         result = ExperimentJob(experiment_id=experiment_id, quick=True).run()
         payload = json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -50,36 +50,47 @@ class AddressMapper:
             raise ValueError(
                 "row size must be a multiple of the column access size"
             )
+        # The geometry is frozen, so the strides of the interleaving are
+        # computed once instead of walking its property chain per decode.
+        strides = (
+            self.geometry.row_bytes // self.column_bytes,
+            self.geometry.banks,
+            self.geometry.ranks,
+            self.channels,
+            self.geometry.chip.rows_per_bank,
+        )
+        object.__setattr__(self, "_strides", strides)
+        object.__setattr__(
+            self, "_capacity_bytes", self.geometry.capacity_bytes * self.channels
+        )
 
     @property
     def columns_per_row(self) -> int:
         """Number of column accesses (cache lines) per module row."""
-        return self.geometry.row_bytes // self.column_bytes
+        return self._strides[0]
 
     @property
     def capacity_bytes(self) -> int:
         """Total capacity across all channels."""
-        return self.geometry.capacity_bytes * self.channels
+        return self._capacity_bytes
 
     def decode(self, physical_address: int) -> DecodedAddress:
         """Decode a physical byte address into DRAM coordinates."""
-        if not 0 <= physical_address < self.capacity_bytes:
+        if not 0 <= physical_address < self._capacity_bytes:
             raise ValueError(
                 f"address {physical_address:#x} outside module capacity "
-                f"{self.capacity_bytes:#x}"
+                f"{self._capacity_bytes:#x}"
             )
-        offset = physical_address % self.column_bytes
-        line = physical_address // self.column_bytes
-
-        column, line = line % self.columns_per_row, line // self.columns_per_row
-        bank, line = line % self.geometry.banks, line // self.geometry.banks
-        rank, line = line % self.geometry.ranks, line // self.geometry.ranks
-        channel, line = line % self.channels, line // self.channels
-        row = line
-        if row >= self.geometry.chip.rows_per_bank:
+        columns, banks, ranks, channels, rows_per_bank = self._strides
+        line, offset = divmod(physical_address, self.column_bytes)
+        line, column = divmod(line, columns)
+        line, bank = divmod(line, banks)
+        line, rank = divmod(line, ranks)
+        row, channel = divmod(line, channels)
+        if row >= rows_per_bank:
             raise ValueError(
                 f"address {physical_address:#x} maps to row {row}, beyond "
-                f"{self.geometry.chip.rows_per_bank} rows per bank"
+                f"{rows_per_bank} rows per bank"
             )
         return DecodedAddress(
             channel=channel,

@@ -11,6 +11,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+#: Mnemonics of the commands that draw activation current from the charge
+#: pumps, so that the rank-level tRRD/tFAW limits apply to them.
+_ACTIVATION_CLASS_MNEMONICS = frozenset({"ACT", "CODIC", "RC_COPY", "LISA_COPY", "REF"})
+
 
 class CommandType(enum.Enum):
     """Types of commands the controller can issue to a DRAM device."""
@@ -30,6 +34,14 @@ class CommandType(enum.Enum):
     ROWCLONE_COPY = "RC_COPY"
     #: LISA inter-subarray row copy (row buffer movement between subarrays).
     LISA_COPY = "LISA_COPY"
+
+    # Members are singletons, so identity hashing is exact; it keeps the
+    # memory controller's per-command Counter out of ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
+    def __init__(self, mnemonic: str) -> None:
+        #: Whether the rank-level activation limits (tRRD, tFAW) apply.
+        self.activation_class = mnemonic in _ACTIVATION_CLASS_MNEMONICS
 
     @property
     def opens_row(self) -> bool:

@@ -18,15 +18,6 @@ from repro.dram.bank import Bank
 from repro.dram.commands import CommandType
 from repro.dram.timing import TimingParameters
 
-#: Commands subject to the rank-level activation constraints.
-ACTIVATION_CLASS = {
-    CommandType.ACTIVATE,
-    CommandType.CODIC,
-    CommandType.ROWCLONE_COPY,
-    CommandType.LISA_COPY,
-    CommandType.REFRESH,
-}
-
 
 @dataclass
 class Rank:
@@ -56,12 +47,16 @@ class Rank:
     ) -> float:
         """Earliest legal issue time considering bank and rank constraints."""
         earliest = self.banks[bank_index].earliest_issue_time(command, now_ns)
-        if command in ACTIVATION_CLASS:
-            earliest = max(earliest, self._last_activation_ns + self.timing.tRRD_ns)
+        if command.activation_class:
+            # Explicit comparisons: ``if x > earliest: earliest = x`` is
+            # exactly ``earliest = max(earliest, x)``.
+            rrd_ready = self._last_activation_ns + self.timing.tRRD_ns
+            if rrd_ready > earliest:
+                earliest = rrd_ready
             if len(self._recent_activations) == 4:
-                earliest = max(
-                    earliest, self._recent_activations[0] + self.timing.tFAW_ns
-                )
+                faw_ready = self._recent_activations[0] + self.timing.tFAW_ns
+                if faw_ready > earliest:
+                    earliest = faw_ready
         return earliest
 
     def issue(
@@ -79,7 +74,7 @@ class Rank:
                 f"(earliest legal time is {earliest:.2f} ns)"
             )
         completion = self.banks[bank_index].issue(command, issue_ns, row=row)
-        if command in ACTIVATION_CLASS:
+        if command.activation_class:
             self._last_activation_ns = issue_ns
             self._recent_activations.append(issue_ns)
         return completion

@@ -9,6 +9,7 @@ configuration the paper's Ramulator setup uses (Table 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.utils.units import GB, MB
 
@@ -57,29 +58,29 @@ class TimingParameters:
             raise ValueError("tRC must be at least tRAS")
 
     # ------------------------------------------------------------------
-    # Derived quantities
+    # Derived quantities (the bank model reads the cached ones per command)
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def tCCD_ns(self) -> float:
         """CAS-to-CAS delay in nanoseconds."""
         return self.tCCD_cycles * self.tCK_ns
 
-    @property
+    @cached_property
     def tWTR_ns(self) -> float:
         """Write-to-read turnaround in nanoseconds."""
         return self.tWTR_cycles * self.tCK_ns
 
-    @property
+    @cached_property
     def CL_ns(self) -> float:
         """Read latency in nanoseconds."""
         return self.CL_cycles * self.tCK_ns
 
-    @property
+    @cached_property
     def CWL_ns(self) -> float:
         """Write latency in nanoseconds."""
         return self.CWL_cycles * self.tCK_ns
 
-    @property
+    @cached_property
     def burst_time_ns(self) -> float:
         """Data-bus occupancy of one burst (BL/2 clock cycles, DDR)."""
         return (self.burst_length / 2) * self.tCK_ns

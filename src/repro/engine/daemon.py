@@ -535,7 +535,9 @@ class _Handler(socketserver.StreamRequestHandler):
         (so a client that dumps the moment it sees ``done`` finds the
         record already in the ring), with an idempotent ``finally`` safety
         net so every exit path -- including disconnects and handler crashes,
-        which send no terminal frame -- still leaves a record.
+        which send no terminal frame -- still leaves a record.  The request
+        id is released at the same point (:meth:`_release`), so a client that
+        sees the terminal frame can resubmit under the same id at once.
         """
         reg = telemetry.registry()
         reg.counter(telemetry.DAEMON_REQUESTS).inc()
@@ -592,7 +594,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 reg.counter(telemetry.DAEMON_REQUESTS_BUSY).inc()
                 if record is not None:
                     record.outcome = "busy"
-                self._complete_record(daemon, "busy")
+                self._release(daemon, request_id, token, "busy")
                 self._send(
                     {
                         "type": "busy",
@@ -644,7 +646,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     record.hits = done["hits"]
                     record.misses = done["misses"]
                     record.memory_hits = done["memory_hits"]
-                self._complete_record(daemon, str(done.get("type")))
+                self._release(daemon, request_id, token, str(done.get("type")))
                 self._send({**done, "request_id": request_id, "trace_id": trace_id})
         except _ClientGone:
             token.cancel("disconnected")
@@ -658,8 +660,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 record.fail(type(error).__name__, str(error))
             raise
         finally:
-            self._complete_record(daemon, None)
-            daemon.unregister_request(request_id)
+            self._release(daemon, request_id, token, None)
             telemetry.reset_trace_id(trace_token)
 
     def _refuse(self, daemon: "ExperimentDaemon", message: str) -> None:
@@ -672,6 +673,24 @@ class _Handler(socketserver.StreamRequestHandler):
         """
         daemon.recorder.note_error("bad_request", message)
         self._send({"type": "error", "message": message})
+
+    def _release(
+        self,
+        daemon: "ExperimentDaemon",
+        request_id: str,
+        token: CancelToken,
+        terminal: str | None,
+    ) -> None:
+        """Release a request's state *before* its terminal frame is sent.
+
+        Finalizes the flight-recorder record and frees the request id, so a
+        client reacting to ``done``/``busy``/``timeout``/``cancelled`` can
+        reuse the id at once and a late ``cancel`` finds nothing in flight.
+        Idempotent: the handler's ``finally`` calls it again, and the id is
+        freed only while it still belongs to this request's token.
+        """
+        self._complete_record(daemon, terminal)
+        daemon.unregister_request(request_id, token)
 
     def _complete_record(self, daemon: "ExperimentDaemon", terminal: str | None) -> None:
         """Finalize the open request record into the flight recorder.
@@ -712,7 +731,7 @@ class _Handler(socketserver.StreamRequestHandler):
             self._record.outcome = reason
         if reason == "timeout":
             reg.counter(telemetry.DAEMON_REQUESTS_TIMEOUT).inc()
-            self._complete_record(daemon, "timeout")
+            self._release(daemon, request_id, token, "timeout")
             self._send(
                 {
                     "type": "timeout",
@@ -724,10 +743,10 @@ class _Handler(socketserver.StreamRequestHandler):
             )
         elif reason == "disconnected":
             reg.counter(telemetry.DAEMON_DISCONNECTS).inc()
-            self._complete_record(daemon, None)  # the peer is gone; no frame
+            self._release(daemon, request_id, token, None)  # the peer is gone; no frame
         else:
             reg.counter(telemetry.DAEMON_REQUESTS_CANCELLED).inc()
-            self._complete_record(daemon, "cancelled")
+            self._release(daemon, request_id, token, "cancelled")
             self._send(
                 {
                     "type": "cancelled",
@@ -1013,9 +1032,11 @@ class ExperimentDaemon:
             self._active_requests[request_id] = token
             return True
 
-    def unregister_request(self, request_id: str) -> None:
+    def unregister_request(self, request_id: str, token: CancelToken) -> None:
+        """Forget an in-flight request, unless its id now names a newer one."""
         with self._requests_lock:
-            self._active_requests.pop(request_id, None)
+            if self._active_requests.get(request_id) is token:
+                del self._active_requests[request_id]
 
     def cancel_request(self, request_id: str) -> bool:
         """Fire the cancel token of an in-flight request (the ``cancel`` op)."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class CacheConfig:
         if self.size_bytes % (self.line_bytes * self.associativity) != 0:
             raise ValueError("cache size must be divisible by line size x associativity")
 
-    @property
+    @cached_property
     def num_sets(self) -> int:
         """Number of sets."""
         return self.size_bytes // (self.line_bytes * self.associativity)
@@ -65,9 +66,7 @@ class Cache:
     _sets: dict[int, OrderedDict] = field(default_factory=dict)
 
     def _locate(self, address: int) -> tuple[int, int]:
-        line = address // self.config.line_bytes
-        set_index = line % self.config.num_sets
-        tag = line // self.config.num_sets
+        tag, set_index = divmod(address // self.config.line_bytes, self.config.num_sets)
         return set_index, tag
 
     def access(self, address: int, is_write: bool) -> tuple[bool, int | None]:
@@ -78,7 +77,9 @@ class Cache:
         room (or ``None``).  On a miss the line is allocated (write-allocate).
         """
         set_index, tag = self._locate(address)
-        ways = self._sets.setdefault(set_index, OrderedDict())
+        ways = self._sets.get(set_index)
+        if ways is None:
+            ways = self._sets[set_index] = OrderedDict()
         if tag in ways:
             self.stats.hits += 1
             ways.move_to_end(tag)

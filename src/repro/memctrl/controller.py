@@ -28,6 +28,20 @@ from repro.memctrl.scheduler import FRFCFSScheduler, Scheduler
 from repro.power.counters import EnergyAccountant
 from repro.power.model import CommandEnergyModel
 
+_READ = RequestType.READ
+# DRAM commands of the column-access path, by their bus mnemonics.
+_ACT = CommandType.ACTIVATE
+_PRE = CommandType.PRECHARGE
+_RD = CommandType.READ
+_WR = CommandType.WRITE
+
+#: The DRAM command that carries out each row-granular request.
+_ROW_OP_COMMANDS = {
+    RequestType.CODIC_ZERO_ROW: CommandType.CODIC,
+    RequestType.ROWCLONE_ZERO_ROW: CommandType.ROWCLONE_COPY,
+    RequestType.LISA_ZERO_ROW: CommandType.LISA_COPY,
+}
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -128,16 +142,20 @@ class MemoryController:
         """Accept a request into the appropriate queue.
 
         Callers must check the corresponding ``*_queue_full`` predicate first;
-        over-filling raises (which models back-pressure to the core).
+        over-filling raises (which models back-pressure to the core).  The
+        request's address is decoded here, once, for the scheduler and the
+        service step.
         """
-        if request.request_type is RequestType.READ:
+        if request.request_type is _READ:
             if self.read_queue_full():
                 raise RuntimeError("read queue overflow: drain before enqueueing")
-            self._read_queue.append(request)
+            queue = self._read_queue
         else:
             if self.write_queue_full():
                 raise RuntimeError("write queue overflow: drain before enqueueing")
-            self._write_queue.append(request)
+            queue = self._write_queue
+        request.decoded = self.mapper.decode(request.address)
+        queue.append(request)
 
     @property
     def pending_requests(self) -> int:
@@ -175,7 +193,7 @@ class MemoryController:
 
     def _requeue(self, request: MemoryRequest) -> None:
         """Put a picked-but-not-serviced request back into its queue."""
-        if request.request_type is RequestType.READ:
+        if request.request_type is _READ:
             self._read_queue.append(request)
         else:
             self._write_queue.append(request)
@@ -215,10 +233,13 @@ class MemoryController:
         return request
 
     def _service(self, request: MemoryRequest) -> None:
-        decoded = self.mapper.decode(request.address)
+        decoded = request.decoded
         rank = self._ranks[(decoded.channel, decoded.rank)]
         tracker = self._banks[(decoded.channel, decoded.rank, decoded.bank)]
-        start = max(self.now_ns, request.arrival_ns)
+        # Explicit comparisons stand in for max() on this per-request path:
+        # ``b if b > a else a`` is exactly ``max(a, b)``.
+        arrival = request.arrival_ns
+        start = arrival if arrival > self.now_ns else self.now_ns
 
         if request.request_type.is_row_granular:
             completion = self._service_row_op(request, decoded, rank, tracker, start)
@@ -227,8 +248,10 @@ class MemoryController:
 
         request.issue_ns = start
         request.completion_ns = completion
-        self.energy.record_time(max(0.0, completion - self.now_ns))
-        self.now_ns = max(self.now_ns, start)
+        busy_ns = completion - self.now_ns
+        self.energy.record_time(busy_ns if busy_ns > 0.0 else 0.0)
+        if start > self.now_ns:
+            self.now_ns = start
 
     def _service_column_access(
         self,
@@ -238,27 +261,27 @@ class MemoryController:
         tracker: _BankTracker,
         start: float,
     ) -> float:
-        is_read = request.request_type is RequestType.READ
+        is_read = request.request_type is _READ
         bank_index = decoded.bank
 
         # Row-buffer management (open-page policy).
         if tracker.open_row is None:
             self.stats.row_misses += 1
-            start = self._issue(rank, CommandType.ACTIVATE, bank_index, start, decoded.row)
+            start = self._issue(rank, _ACT, bank_index, start, decoded.row)
             tracker.open_row = decoded.row
         elif tracker.open_row != decoded.row:
             self.stats.row_conflicts += 1
-            start = self._issue(rank, CommandType.PRECHARGE, bank_index, start)
-            start = self._issue(rank, CommandType.ACTIVATE, bank_index, start, decoded.row)
+            start = self._issue(rank, _PRE, bank_index, start)
+            start = self._issue(rank, _ACT, bank_index, start, decoded.row)
             tracker.open_row = decoded.row
         else:
             self.stats.row_hits += 1
 
-        command = CommandType.READ if is_read else CommandType.WRITE
-        issue = max(
-            rank.earliest_issue_time(command, bank_index, start),
-            self._bus_free_ns[decoded.channel],
-        )
+        command = _RD if is_read else _WR
+        issue = rank.earliest_issue_time(command, bank_index, start)
+        bus_free_ns = self._bus_free_ns[decoded.channel]
+        if bus_free_ns > issue:
+            issue = bus_free_ns
         completion = rank.issue(command, bank_index, issue)
         self._bus_free_ns[decoded.channel] = completion
         self.energy.record_command(command)
@@ -266,7 +289,8 @@ class MemoryController:
             self.stats.reads += 1
         else:
             self.stats.writes += 1
-        self.now_ns = max(self.now_ns, issue)
+        if issue > self.now_ns:
+            self.now_ns = issue
         return completion
 
     def _service_row_op(
@@ -277,15 +301,11 @@ class MemoryController:
         tracker: _BankTracker,
         start: float,
     ) -> float:
-        command = {
-            RequestType.CODIC_ZERO_ROW: CommandType.CODIC,
-            RequestType.ROWCLONE_ZERO_ROW: CommandType.ROWCLONE_COPY,
-            RequestType.LISA_ZERO_ROW: CommandType.LISA_COPY,
-        }[request.request_type]
+        command = _ROW_OP_COMMANDS[request.request_type]
         bank_index = decoded.bank
 
         if tracker.open_row is not None:
-            start = self._issue(rank, CommandType.PRECHARGE, bank_index, start)
+            start = self._issue(rank, _PRE, bank_index, start)
             tracker.open_row = None
 
         issue = rank.earliest_issue_time(command, bank_index, start)
@@ -306,9 +326,9 @@ class MemoryController:
         issue = rank.earliest_issue_time(command, bank_index, not_before_ns)
         rank.issue(command, bank_index, issue, row=row)
         self.energy.record_command(command)
-        if command is CommandType.ACTIVATE:
+        if command is _ACT:
             self.stats.activations += 1
-        elif command is CommandType.PRECHARGE:
+        elif command is _PRE:
             self.stats.precharges += 1
         return issue
 

@@ -18,6 +18,15 @@ from repro.memctrl.controller import MemoryController
 from repro.memctrl.request import MemoryRequest, RequestType
 from repro.memctrl.trace import TraceEvent, TraceEventType
 
+# Module-level aliases keep enum class-attribute lookups off the per-event path.
+_COMPUTE = TraceEventType.COMPUTE
+_LOAD = TraceEventType.LOAD
+_STORE = TraceEventType.STORE
+_FLUSH = TraceEventType.FLUSH
+_DEALLOC = TraceEventType.DEALLOC
+_READ = RequestType.READ
+_WRITE = RequestType.WRITE
+
 
 class DeallocHandler(Protocol):
     """Policy deciding how a deallocated region is zeroed."""
@@ -93,22 +102,23 @@ class InOrderCore:
     # ------------------------------------------------------------------
     def execute(self, event: TraceEvent) -> None:
         """Execute one trace event, advancing the core's local time."""
-        if event.event_type is TraceEventType.COMPUTE:
+        event_type = event.event_type
+        if event_type is _COMPUTE:
             self.cycles += event.count
             self.stats.instructions += event.count
-        elif event.event_type is TraceEventType.LOAD:
+        elif event_type is _LOAD:
             self.stats.loads += 1
             self.stats.instructions += 1
             self._memory_access(event.address, is_write=False)
-        elif event.event_type is TraceEventType.STORE:
+        elif event_type is _STORE:
             self.stats.stores += 1
             self.stats.instructions += 1
             self._memory_access(event.address, is_write=True)
-        elif event.event_type is TraceEventType.FLUSH:
+        elif event_type is _FLUSH:
             self.stats.flushes += 1
             self.stats.instructions += 1
             self.do_flush(event.address)
-        elif event.event_type is TraceEventType.DEALLOC:
+        elif event_type is _DEALLOC:
             self.stats.deallocs += 1
             self.stats.instructions += 1
             self.dealloc_handler.handle(self, event)
@@ -156,7 +166,7 @@ class InOrderCore:
                 self._blocking_read(op_address)
 
     def _blocking_read(self, address: int) -> None:
-        request = MemoryRequest(RequestType.READ, address, self.time_ns, self.core_id)
+        request = MemoryRequest(_READ, address, self.time_ns, self.core_id)
         self._enqueue(request)
         completion_ns = self.controller.wait_for(request)
         stall_ns = max(0.0, completion_ns - request.arrival_ns)
@@ -165,11 +175,11 @@ class InOrderCore:
         self.stats.stall_cycles += stall_cycles
 
     def _enqueue_write(self, address: int) -> None:
-        self._enqueue(MemoryRequest(RequestType.WRITE, address, self.time_ns, self.core_id))
+        self._enqueue(MemoryRequest(_WRITE, address, self.time_ns, self.core_id))
 
     def _enqueue(self, request: MemoryRequest) -> None:
         """Enqueue a request, draining the controller if the queue is full."""
-        is_read = request.request_type is RequestType.READ
+        is_read = request.request_type is _READ
         while (
             self.controller.read_queue_full()
             if is_read

@@ -6,6 +6,8 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
+from repro.dram.address import DecodedAddress
+
 
 class RequestType(enum.Enum):
     """Kinds of requests the controller accepts."""
@@ -19,27 +21,38 @@ class RequestType(enum.Enum):
     #: Row-granular in-DRAM copy through the LISA inter-subarray links.
     LISA_ZERO_ROW = "lisa_zero_row"
 
+    # Members are singletons: identity hashing is exact and keeps dict
+    # lookups keyed by request type out of ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
     @property
     def is_row_granular(self) -> bool:
         """Whether the request operates on a whole DRAM row."""
-        return self in {
-            RequestType.CODIC_ZERO_ROW,
-            RequestType.ROWCLONE_ZERO_ROW,
-            RequestType.LISA_ZERO_ROW,
-        }
+        return self is _CODIC_ZERO_ROW or self is _ROWCLONE_ZERO_ROW or self is _LISA_ZERO_ROW
 
     @property
     def needs_data_bus(self) -> bool:
         """Whether the request transfers data over the memory channel."""
-        return self in {RequestType.READ, RequestType.WRITE}
+        return self is _READ or self is _WRITE
+
+
+_READ = RequestType.READ
+_WRITE = RequestType.WRITE
+_CODIC_ZERO_ROW = RequestType.CODIC_ZERO_ROW
+_ROWCLONE_ZERO_ROW = RequestType.ROWCLONE_ZERO_ROW
+_LISA_ZERO_ROW = RequestType.LISA_ZERO_ROW
 
 
 _request_ids = itertools.count()
 
 
-@dataclass
+@dataclass(eq=False)
 class MemoryRequest:
-    """One request in flight through the memory system."""
+    """One request in flight through the memory system.
+
+    Requests are compared by identity (each carries a unique id), which also
+    keeps removing one from a controller queue a pointer scan.
+    """
 
     request_type: RequestType
     address: int
@@ -50,6 +63,9 @@ class MemoryRequest:
     # Filled in by the controller.
     issue_ns: float | None = None
     completion_ns: float | None = None
+    #: DRAM coordinates of ``address``, decoded once when a controller
+    #: accepts the request.
+    decoded: DecodedAddress | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.address < 0:

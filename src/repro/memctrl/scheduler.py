@@ -62,12 +62,13 @@ class FRFCFSScheduler:
         mapper: AddressMapper,
         bank_state: BankStateView,
     ) -> MemoryRequest | None:
-        if not queue:
-            return None
+        if len(queue) <= 1:
+            return queue[0] if queue else None
         best: MemoryRequest | None = None
         best_key: tuple[int, float, int] | None = None
         for request in queue:
-            decoded = mapper.decode(request.address)
+            # A controller decodes each request when it accepts it.
+            decoded = request.decoded or mapper.decode(request.address)
             open_row = bank_state.open_row(decoded.channel, decoded.rank, decoded.bank)
             is_hit = open_row is not None and open_row == decoded.row
             key = (0 if is_hit else 1, request.arrival_ns, request.request_id)

@@ -9,6 +9,7 @@ memory controller, banks and data bus.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -152,24 +153,26 @@ class System:
                 f"{len(traces)} traces provided but the system has "
                 f"{len(self.cores)} cores"
             )
-        iterators = [list(trace.events) for trace in traces]
-        positions = [0] * len(iterators)
-
-        def runnable() -> list[int]:
-            return [
-                index
-                for index, events in enumerate(iterators)
-                if positions[index] < len(events)
-            ]
-
-        active = runnable()
-        while active:
-            # Advance the core that is furthest behind in wall-clock time.
-            index = min(active, key=lambda i: self.cores[i].time_ns)
+        events = [list(trace.events) for trace in traces]
+        positions = [0] * len(events)
+        # Cores with events left, as (local time, index): the heap's head is
+        # the core furthest behind in wall-clock time, the lowest index on
+        # ties.  Executing an event advances only that core's clock.
+        runnable = [
+            (self.cores[index].time_ns, index)
+            for index, core_events in enumerate(events)
+            if core_events
+        ]
+        heapq.heapify(runnable)
+        while runnable:
+            index = runnable[0][1]
             core = self.cores[index]
-            core.execute(iterators[index][positions[index]])
+            core.execute(events[index][positions[index]])
             positions[index] += 1
-            active = runnable()
+            if positions[index] < len(events[index]):
+                heapq.heapreplace(runnable, (core.time_ns, index))
+            else:
+                heapq.heappop(runnable)
 
         # Drain any buffered writes / row operations left in the controller.
         # The drain time bounds the finish time of the workload as a whole

@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc, gammaincc
 
 from repro.rng.nist.result import NISTTestResult
+from repro.rng.nist.special import gammaincc, normal_cdf
 
 
 def _as_bits(bits: np.ndarray) -> np.ndarray:
@@ -32,7 +32,7 @@ def monobit(bits: np.ndarray) -> NISTTestResult:
     n = bits.size
     s = np.sum(2 * bits - 1)
     s_obs = abs(s) / math.sqrt(n)
-    p_value = float(erfc(s_obs / math.sqrt(2.0)))
+    p_value = math.erfc(s_obs / math.sqrt(2.0))
     return NISTTestResult(name="monobit", p_value=p_value)
 
 
@@ -63,7 +63,7 @@ def runs(bits: np.ndarray) -> NISTTestResult:
     v_obs = 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
     numerator = abs(v_obs - 2.0 * n * pi * (1.0 - pi))
     denominator = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
-    p_value = float(erfc(numerator / denominator))
+    p_value = math.erfc(numerator / denominator)
     return NISTTestResult(name="runs", p_value=p_value)
 
 
@@ -141,18 +141,16 @@ def _cusum_p_value(z: float, n: int) -> float:
     """P-value of the cusum statistic (SP 800-22 section 2.13.4)."""
     if z == 0.0:
         return 0.0
-    from scipy.stats import norm
-
     total = 1.0
     k_start = int((-n / z + 1) // 4)
     k_end = int((n / z - 1) // 4)
     for k in range(k_start, k_end + 1):
-        total -= norm.cdf((4 * k + 1) * z / math.sqrt(n)) - norm.cdf(
+        total -= normal_cdf((4 * k + 1) * z / math.sqrt(n)) - normal_cdf(
             (4 * k - 1) * z / math.sqrt(n)
         )
     k_start = int((-n / z - 3) // 4)
     for k in range(k_start, k_end + 1):
-        total += norm.cdf((4 * k + 3) * z / math.sqrt(n)) - norm.cdf(
+        total += normal_cdf((4 * k + 3) * z / math.sqrt(n)) - normal_cdf(
             (4 * k + 1) * z / math.sqrt(n)
         )
     return float(min(max(total, 0.0), 1.0))
@@ -227,5 +225,5 @@ def dft(bits: np.ndarray) -> NISTTestResult:
     expected_below = 0.95 * n / 2.0
     observed_below = float(np.count_nonzero(spectrum < threshold))
     d = (observed_below - expected_below) / math.sqrt(n * 0.95 * 0.05 / 4.0)
-    p_value = float(erfc(abs(d) / math.sqrt(2.0)))
+    p_value = math.erfc(abs(d) / math.sqrt(2.0))
     return NISTTestResult(name="dft", p_value=p_value)

@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc, gammaincc
 
 from repro.rng.nist.basic import _as_bits
 from repro.rng.nist.result import NISTTestResult
+from repro.rng.nist.special import gammaincc
 
 #: Category probabilities of the linear complexity test (SP 800-22, 2.10.4).
 _LINEAR_COMPLEXITY_PI = (0.010417, 0.03125, 0.125, 0.5, 0.25, 0.0625, 0.020833)
@@ -17,27 +17,21 @@ _LINEAR_COMPLEXITY_PI = (0.010417, 0.03125, 0.125, 0.5, 0.25, 0.0625, 0.020833)
 def _berlekamp_massey(block: np.ndarray) -> int:
     """Linear complexity of a bit block via Berlekamp-Massey.
 
-    The connection polynomials are stored as Python integers (bit i of the
-    integer is coefficient i), which makes the inner update a single shift
-    and XOR and keeps the test usable on long streams.
+    Polynomials and the sequence are packed into Python integers.  Bit ``i``
+    of ``c``/``b`` is coefficient ``i`` of the connection polynomials, and
+    the sequence is held reversed (bit ``j`` of ``window`` is
+    ``s[index - j]``), so the discrepancy
+    ``s[index] + sum_{i=1..l} c_i * s[index - i]`` is the parity of
+    ``c & window`` over bits ``0..l``.
     """
-    n = block.size
-    bits_int = [int(b) for b in block]
     c = 1  # C(x) = 1
     b = 1  # B(x) = 1
     l = 0
     m = -1
-    for index in range(n):
-        # Discrepancy: s[index] + sum_{i=1..l} c_i * s[index - i]  (mod 2).
-        discrepancy = bits_int[index]
-        connection = c >> 1
-        i = 1
-        while connection and i <= l:
-            if connection & 1:
-                discrepancy ^= bits_int[index - i]
-            connection >>= 1
-            i += 1
-        if discrepancy:
+    window = 0
+    for index, bit in enumerate(block.tolist()):
+        window = (window << 1) | bit
+        if (c & ((2 << l) - 1) & window).bit_count() & 1:
             temp = c
             c ^= b << (index - m)
             if l <= index // 2:
@@ -151,7 +145,7 @@ def random_excursion_variant(bits: np.ndarray) -> NISTTestResult:
     for state in list(range(-9, 0)) + list(range(1, 10)):
         visits = int(np.count_nonzero(padded == state))
         denominator = math.sqrt(2.0 * num_cycles * (4.0 * abs(state) - 2.0))
-        p_values.append(float(erfc(abs(visits - num_cycles) / denominator)))
+        p_values.append(math.erfc(abs(visits - num_cycles) / denominator))
     return NISTTestResult(
         name="random_excursion_variant",
         p_value=min(p_values),

@@ -9,10 +9,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincc
 
 from repro.rng.nist.basic import _as_bits
 from repro.rng.nist.result import NISTTestResult
+from repro.rng.nist.special import gammaincc
 
 #: Default non-overlapping template (SP 800-22 uses m = 9 aperiodic templates;
 #: this is the canonical example template).
@@ -41,14 +41,16 @@ def non_overlapping_template_matching(
     counts = []
     for index in range(num_blocks):
         block = bits[index * block_size : (index + 1) * block_size]
+        windows = np.lib.stride_tricks.sliding_window_view(block, m)
+        matches = np.flatnonzero((windows == template_arr).all(axis=1))
+        # Scan the matches left to right; a counted match hides the m - 1
+        # windows that overlap it.
         count = 0
-        position = 0
-        while position <= block_size - m:
-            if np.array_equal(block[position : position + m], template_arr):
+        next_free = 0
+        for position in matches.tolist():
+            if position >= next_free:
                 count += 1
-                position += m
-            else:
-                position += 1
+                next_free = position + m
         counts.append(count)
 
     mean = (block_size - m + 1) / (2.0 ** m)
@@ -148,9 +150,7 @@ def maurers_universal(bits: np.ndarray) -> NISTTestResult:
     expected, variance = _MAURER_EXPECTED[length]
     c = 0.7 - 0.8 / length + (4 + 32 / length) * (k ** (-3 / length)) / 15
     sigma = c * math.sqrt(variance / k)
-    from scipy.special import erfc
-
-    p_value = float(erfc(abs(fn - expected) / (math.sqrt(2.0) * sigma)))
+    p_value = math.erfc(abs(fn - expected) / (math.sqrt(2.0) * sigma))
     return NISTTestResult(name="maurers_universal", p_value=p_value)
 
 

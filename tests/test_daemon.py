@@ -21,6 +21,7 @@ import pytest
 
 from repro import telemetry
 from repro.engine import (
+    CancelToken,
     DaemonClient,
     DaemonError,
     ExperimentDaemon,
@@ -33,9 +34,11 @@ from repro.engine import (
     start_daemon,
     stop_daemon,
 )
+from repro.engine import daemon as daemon_mod
 from repro.engine import faults as faults_mod
 from repro.engine.daemon import (
     PROTOCOL_VERSION,
+    TERMINAL_FRAME_TYPES,
     _acquire_bind_lock,
     _lock_file,
     recv_frame,
@@ -717,6 +720,86 @@ class TestAdmissionControl:
         response = client.request({"op": "ping"}, retries=2, backoff_s=0.01)
         assert response["type"] == "pong"
         assert client.server.faults.fired["refuse_accept"] == 2
+
+
+class TestRequestRelease:
+    """A request's id is released before its terminal frame is sent.
+
+    A gate parks each handler thread right after it sends a terminal frame,
+    until the test has reacted to that frame.  This pins open the window in
+    which a release that trailed the frame let ``cancel`` find a settled
+    request, or refused a resubmission under the same id as in flight.  The
+    tests wait on frames and on the gate, never on sleeps.
+    """
+
+    @pytest.fixture
+    def gate(self, monkeypatch):
+        gate = threading.Event()
+        original = daemon_mod._Handler._send
+
+        def send_then_park(handler, message):
+            original(handler, message)
+            if message.get("type") in TERMINAL_FRAME_TYPES:
+                gate.wait(timeout=30.0)
+
+        monkeypatch.setattr(daemon_mod._Handler, "_send", send_then_park)
+        yield gate
+        gate.set()
+
+    def test_cancel_then_recancel_and_reuse_the_id(self, make_daemon, gate):
+        client = make_daemon(
+            max_inflight=1,
+            faults=FaultInjector(FaultPlan(delay_frame_s=HOLD_DELAY_S)),
+        )
+        # A holder occupies the only slot, so every attempt below waits in
+        # the queue until its cancel settles it.
+        holder, holder_thread = _submit_async(
+            client, fleet=HOLD_FLEET, shard_size=2, request_id="req-holder"
+        )
+        _await_status(client, inflight=1)
+        for _ in range(5):
+            gate.clear()
+            stream = client.submit(["table1"], request_id="req-reused")
+            frames = [next(stream)]
+            assert frames[0]["type"] == "accepted"
+            assert client.cancel("req-reused") is True
+            frames.extend(stream)
+            assert frames[-1]["type"] == "cancelled"
+            assert frames[-1]["request_id"] == "req-reused"
+            # The handler is still parked after its terminal frame.
+            assert client.cancel("req-reused") is False
+            gate.set()
+        assert client.cancel("req-holder") is True
+        holder_thread.join(timeout=60.0)
+        assert holder[-1]["type"] == "cancelled"
+
+    def test_done_then_resubmit_with_the_same_id(self, make_daemon, gate):
+        client = make_daemon()
+        for _ in range(5):
+            gate.clear()
+            first = list(client.submit(["table1"], request_id="req-again"))
+            assert first[-1]["type"] == "done", first[-1]
+            # The first handler is parked after ``done``; the id is free.
+            assert client.cancel("req-again") is False
+            assert client.status()["active_requests"] == 0
+            second = list(client.submit(["table1"], request_id="req-again"))
+            assert second[0]["type"] == "accepted"
+            assert second[-1]["type"] == "done", second[-1]
+            assert second[-1]["request_id"] == "req-again"
+            gate.set()
+
+    def test_release_keeps_a_newer_owner_of_the_id(self, make_daemon):
+        client = make_daemon()
+        first, second = CancelToken(), CancelToken()
+        server = client.server
+        assert server.register_request("req-x", first)
+        server.unregister_request("req-x", first)
+        assert server.register_request("req-x", second)
+        # A late release from the first owner must not free the second's id.
+        server.unregister_request("req-x", first)
+        assert server.register_request("req-x", CancelToken()) is False
+        server.unregister_request("req-x", second)
+        assert server.register_request("req-x", CancelToken()) is True
 
 
 class TestWorkerCrashRecovery:

@@ -11,8 +11,9 @@ Three layers of guarantees:
   (including uneven ones) merges to the bit-identical full-range result.
 * **Golden JSON** -- the pair-based experiments (fig5, fig6, aging), the
   sharded Monte Carlo table (table11), the memory-controller simulations
-  (fig8, fig9) and the NIST suite (table10) encode byte-identically to JSON
-  captured before their hot paths were rewritten
+  (fig8, fig9), the NIST suite (table10) and the fleet traffic studies
+  (fleet-roc, fleet-aging) encode byte-identically to JSON captured before
+  their hot paths or job shapes were rewritten
   (``tests/golden/*_quick.json``).
 """
 
@@ -521,7 +522,11 @@ class TestGoldenExperimentJSON:
     memory-controller timing, bit-serial Berlekamp-Massey and scipy p-values)."""
 
     @pytest.mark.parametrize(
-        "experiment_id", ["fig5", "fig6", "aging", "table11", "fig8", "fig9", "table10"]
+        "experiment_id",
+        [
+            "fig5", "fig6", "aging", "table11", "fig8", "fig9", "table10",
+            "fleet-roc", "fleet-aging",
+        ],
     )
     def test_quick_json_matches_golden(self, experiment_id):
         result = ExperimentJob(experiment_id=experiment_id, quick=True).run()

@@ -12,12 +12,14 @@ from __future__ import annotations
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.circuit.montecarlo import MC_SAMPLE_BLOCK, MonteCarloEngine
 from repro.engine import (
     ExperimentJob,
+    FleetEnrollJob,
     MonteCarloPointJob,
     MonteCarloShardJob,
     PUFPairsJob,
@@ -26,12 +28,17 @@ from repro.engine import (
     run_sharded,
     shard_ranges,
 )
+from repro.engine.jobs import ShardedJob
+from repro.engine.serialization import canonical_json
 from repro.experiments.__main__ import main
 from repro.experiments.registry import run_all
+from repro.experiments.sharding import SHARD_PLANS
 from repro.puf.codic_puf import CODICSigPUF
 from repro.puf.evaluation import PUFEvaluator
 from repro.puf.jaccard import JaccardDistribution
 from repro.utils.rng import StreamTree
+
+SHARD_IDS_GOLDEN = Path(__file__).parent / "golden" / "shard_ids.json"
 
 
 class TestStreamTree:
@@ -122,6 +129,48 @@ class TestMonteCarloPartitionIndependence:
         job = MonteCarloShardJob(4.0, 30.0, 0, 2_000)
         flips = job.run()
         assert job.decode(job.encode(flips)) == flips
+
+
+def _identity_rows(job, shard_size: int, rows: list) -> None:
+    """Append ``job`` and (recursively) its shards as identity rows."""
+    rows.append([job.kind, job.job_id, job.config, job.shard_range()])
+    subs = job.shard_jobs(shard_size) if isinstance(job, ShardedJob) else None
+    for sub in subs or ():
+        _identity_rows(sub, shard_size, rows)
+
+
+def shard_identity_document() -> str:
+    """``tests/golden/shard_ids.json``: one ``[kind, job_id, config,
+    shard_range]`` row per unit job or shard -- every shard plan's quick unit
+    jobs at shard size 60, plus a small fleet enrollment at shard size 3.
+
+    These four fields are what cache keys and ``--stream``/daemon event
+    frames are built from, so any drift here silently orphans cached shards
+    or changes the wire format.
+    """
+    rows: list = []
+    for plan in SHARD_PLANS.values():
+        for unit in plan.unit_jobs(True):
+            _identity_rows(unit, 60, rows)
+    enroll = FleetEnrollJob(
+        fleet_seed=11, devices=8, puf="CODIC-sig PUF", challenges_per_device=2
+    )
+    _identity_rows(enroll, 3, rows)
+    return "[\n" + ",\n".join(canonical_json(row) for row in rows) + "\n]\n"
+
+
+class TestShardIdentity:
+    def test_unit_and_shard_identities_match_golden(self):
+        assert shard_identity_document() == SHARD_IDS_GOLDEN.read_text()
+
+    def test_golden_covers_every_job_kind(self):
+        kinds = {row[0] for row in json.loads(SHARD_IDS_GOLDEN.read_text())}
+        assert kinds == {
+            "montecarlo-point", "montecarlo-shard",
+            "puf-pairs", "puf-pairs-shard",
+            "fleet-traffic", "fleet-traffic-shard",
+            "fleet-enroll", "fleet-enroll-shard",
+        }
 
 
 class TestShardRanges:

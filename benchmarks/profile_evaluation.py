@@ -12,22 +12,15 @@ layer it targeted.
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_evaluation.py \
-        --puf "DRAM Latency PUF" --pairs 120 [--scalar] [--sort tottime]
-
-``--scalar`` forces the retained scalar reference loops (the
-``REPRO_PUF_SCALAR=1`` path) so both sides of the byte-identity gate can be
-attributed with the same tool.
+        --puf "DRAM Latency PUF" --pairs 120 [--sort tottime]
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
-import os
 import pstats
 import time
-
-from repro.puf.filtering import PUF_SCALAR_ENV_VAR
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -38,11 +31,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         help="PUF factory name (see repro.experiments.puf_experiments.PUF_FACTORIES)",
     )
     parser.add_argument("--pairs", type=int, default=120, help="pairs to evaluate")
-    parser.add_argument(
-        "--scalar",
-        action="store_true",
-        help=f"force the scalar reference loops ({PUF_SCALAR_ENV_VAR}=1)",
-    )
     parser.add_argument(
         "--sort",
         default="cumulative",
@@ -55,8 +43,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
-    if args.scalar:
-        os.environ[PUF_SCALAR_ENV_VAR] = "1"
 
     from repro.dram.population import paper_population
     from repro.experiments.puf_experiments import PUF_FACTORIES
@@ -91,9 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     profiler.disable()
     elapsed = time.perf_counter() - start
 
-    mode = "scalar" if args.scalar else "batched"
     print(
-        f"{args.puf} [{mode}]: {args.pairs} pairs in {elapsed:.3f}s "
+        f"{args.puf}: {args.pairs} pairs in {elapsed:.3f}s "
         f"= {args.pairs / elapsed:.1f} pairs/s ({elapsed / args.pairs * 1e3:.3f} ms/pair)"
     )
     stats = pstats.Stats(profiler)

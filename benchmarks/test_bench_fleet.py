@@ -12,9 +12,10 @@ Three measurements of the fleet subsystem:
     runtime (golden store, device and challenge memos already populated):
     the throughput a warm daemon or a ``--warm-store`` worker sees, where
     only the grouped evaluation kernel itself is on the clock;
-  - ``scalar`` -- the cold ``REPRO_FLEET_SCALAR=1`` reference loop, pinned
-    so a regression in the batched kernel relative to its executable
-    specification is visible in the artifact.
+  - ``scalar`` -- the same cold replay through the reference loop
+    (:func:`repro.fleet.traffic.authenticate_block_scalar`, called
+    directly), pinned so a regression in the batched kernel relative to its
+    executable specification is visible in the artifact.
 
   The batched and scalar replays must record identical similarity values
   (asserted), and warm batched throughput must stay within noise of warm
@@ -45,7 +46,7 @@ import pytest
 from repro.engine import DaemonClient, FleetTrafficJob, start_daemon, stop_daemon
 from repro.engine.jobs import _fleet_runtime
 from repro.fleet.devices import FLEET_PUF_FACTORIES
-from repro.fleet.traffic import SCALAR_ENV_VAR
+from repro.fleet.traffic import authenticate_block_scalar
 
 #: Fleet size of the throughput benchmark (the ISSUE's >= 10k-device floor).
 FLEET_DEVICES = 10_000
@@ -91,6 +92,19 @@ def _timed_run(job: FleetTrafficJob) -> tuple[float, dict]:
     return time.perf_counter() - start, value
 
 
+def _timed_scalar_run(job: FleetTrafficJob) -> tuple[float, dict]:
+    """``_timed_run`` with the scalar reference kernel in place of the
+    batched one, on the same per-process memoized runtime ``job.run()``
+    uses."""
+    start = time.perf_counter()
+    fleet, verifier = _fleet_runtime(job.fleet_config())
+    genuine, impostor = authenticate_block_scalar(
+        fleet, verifier, job.traffic_config(), 0, job.requests
+    )
+    value = {"genuine": genuine.tolist(), "impostor": impostor.tolist()}
+    return time.perf_counter() - start, value
+
+
 def _auth_rates() -> dict[str, dict[str, float]]:
     """Per-PUF auths/sec for the direct (cold), warm and scalar configs.
 
@@ -110,14 +124,10 @@ def _auth_rates() -> dict[str, dict[str, float]]:
         warm = min(_timed_run(job)[0] for _ in range(WARM_REPLAYS))
         rates["warm"][puf_name] = requests / warm
 
-        os.environ[SCALAR_ENV_VAR] = "1"
-        try:
-            _fleet_runtime.cache_clear()
-            elapsed, scalar_value = _timed_run(job)
-            rates["scalar"][puf_name] = requests / elapsed
-            scalar_warm = min(_timed_run(job)[0] for _ in range(WARM_REPLAYS))
-        finally:
-            del os.environ[SCALAR_ENV_VAR]
+        _fleet_runtime.cache_clear()
+        elapsed, scalar_value = _timed_scalar_run(job)
+        rates["scalar"][puf_name] = requests / elapsed
+        scalar_warm = min(_timed_scalar_run(job)[0] for _ in range(WARM_REPLAYS))
         assert scalar_value == value, f"batched != scalar for {puf_name}"
         assert warm <= scalar_warm / BATCHED_VS_SCALAR_FLOOR, (
             f"{puf_name}: warm batched kernel ({requests / warm:.1f}/s) fell "

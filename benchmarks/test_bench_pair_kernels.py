@@ -7,7 +7,7 @@ configurations on the paper population's DDR3 class:
   a fresh PUF instance per pair (the pre-batching execution shape);
 * **batched** -- one :func:`repro.puf.evaluation.quality_pairs_batch` call
   over the whole pair block (the shape the ``*_shard`` methods and the
-  engine's ``PUFPairsShardJob`` use);
+  engine's ``PUFPairsJob`` ranges use);
 * **batched-warm** -- the same batched call replayed with the deterministic
   profile memos already resident (the daemon / fleet warm-store steady-state
   regime): per-pair cost is the multi-read noise kernels alone, with no

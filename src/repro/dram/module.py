@@ -11,7 +11,10 @@ The multi-read entry points (:meth:`DRAMModule.sig_response_multi`,
 :meth:`DRAMModule.rcd_filtered_response`) evaluate a whole filtered response
 in one pass -- per-chip profile memos and hoisted read state derived once per
 call, all per-read noise drawn from the supplied generators in the exact
-scalar order -- and are bit-identical to the retained scalar loops.
+scalar order -- and are bit-identical to the per-chip scalar loops.  One of
+those stays here: :meth:`DRAMModule.rcd_filtered_response_scalar` is both
+the reference the tests compare the counting kernel against and the live
+path when no generator is supplied.
 """
 
 from __future__ import annotations
@@ -390,8 +393,9 @@ class DRAMModule:
     ) -> np.ndarray:
         """Scalar reference loop for :meth:`rcd_filtered_response`.
 
-        Retained verbatim (per-chip profile lookup, shift, binomial) as the
-        byte-identity reference behind ``REPRO_PUF_SCALAR=1``.
+        Retained verbatim (per-chip profile lookup, shift, binomial): the
+        byte-identity reference of the counting kernel, and the live path
+        when no ``rng`` is supplied.
         """
         return self._aggregate(
             [

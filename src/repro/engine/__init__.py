@@ -3,8 +3,10 @@
 The engine is the substrate every scaling feature builds on:
 
 * :mod:`repro.engine.jobs` -- picklable job descriptions (registry
-  experiments, Monte Carlo sweep points/shards, PUF pair batches) with
-  deterministic configs, plus the :class:`ShardedJob` split/merge protocol;
+  experiments, Monte Carlo sweep points, PUF pair batches, fleet traffic and
+  enrollment) with deterministic configs, plus the :class:`ShardedJob`
+  split/merge protocol and :class:`RangeJob`, the one shape every range-split
+  job shares (its shards are :class:`RangeShard` unit ranges);
 * :mod:`repro.engine.executor` -- the :class:`JobEvent` stream
   (:func:`iter_jobs`) over serial / ``ProcessPoolExecutor`` execution, with
   :func:`run_jobs` as the drain-the-stream wrapper (progress reporting,
@@ -59,14 +61,12 @@ from repro.engine.faults import FAULTS_ENV, FaultInjector, FaultPlan
 from repro.engine.jobs import (
     ExperimentJob,
     FleetEnrollJob,
-    FleetEnrollShardJob,
     FleetTrafficJob,
-    FleetTrafficShardJob,
     Job,
     MonteCarloPointJob,
-    MonteCarloShardJob,
     PUFPairsJob,
-    PUFPairsShardJob,
+    RangeJob,
+    RangeShard,
     ShardedJob,
     shard_ranges,
 )
@@ -97,18 +97,16 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FleetEnrollJob",
-    "FleetEnrollShardJob",
     "FleetTrafficJob",
-    "FleetTrafficShardJob",
     "Job",
     "JobEvent",
     "JobOutcome",
     "MemoryIndexCache",
     "MonteCarloPointJob",
-    "MonteCarloShardJob",
     "PoolSupervisor",
     "PUFPairsJob",
-    "PUFPairsShardJob",
+    "RangeJob",
+    "RangeShard",
     "ResultCache",
     "ShardedJob",
     "canonical_json",

@@ -265,19 +265,6 @@ def _warm_probe(index: int) -> int:
     return index
 
 
-def _execute(job: Job) -> tuple[Any, float]:
-    """Run one job and time it (also the picklable worker entry point)."""
-    start = time.perf_counter()
-    value = job.run()
-    return value, time.perf_counter() - start
-
-
-def _pool_execute(job: Job) -> tuple[Any, float]:
-    """Pool-worker entry without telemetry (fault site for injected kills)."""
-    faults.injector().on_job_start()
-    return _execute(job)
-
-
 def _span_labels(job: Job) -> dict[str, Any]:
     """JSON-safe span labels locating one job."""
     labels: dict[str, Any] = {"job": job.job_id, "job_kind": job.kind}
@@ -287,43 +274,63 @@ def _span_labels(job: Job) -> dict[str, Any]:
     return labels
 
 
-def _execute_collected(
-    job: Job,
-    parent_span: str | None,
-    submitted_ts: float | None,
-    trace: bool,
-    trace_id: str | None = None,
-) -> tuple[Any, float, list[dict[str, Any]], dict[str, Any]]:
-    """Pool-worker entry with telemetry: run the job under a span, measure
-    queue wait, and ship the spans + the worker registry's per-job metric
-    delta back alongside the result.
+def _active_registry() -> "telemetry.MetricsRegistry | None":
+    """The metrics registry while collection or tracing is on, else ``None``."""
+    if telemetry.collection_enabled() or telemetry.tracing_active():
+        return telemetry.registry()
+    return None
 
-    The worker's registry is drained after every job, so the returned
-    snapshot is exactly this job's contribution; the parent folds it into
-    its own registry (:meth:`repro.telemetry.MetricsRegistry.merge_snapshot`)
-    -- shard-local histograms merge exactly by construction.  Worker spans
-    parent onto the submitting process's active span (``parent_span``) and
-    carry the submitting request's ``trace_id``, so the trace is one tree
-    across the pool and every record names its originating request.
+
+def _run(
+    job: Job,
+    reg: "telemetry.MetricsRegistry | None",
+    parent: str | None = None,
+    **labels: Any,
+) -> tuple[Any, float]:
+    """Run one job under a ``job.run`` span and time it: the one runner
+    behind inline and pool execution.  With telemetry off the span is the
+    shared no-op and ``reg`` is ``None``, so nothing is recorded."""
+    with telemetry.span(
+        "job.run", kind="engine", parent=parent, **_span_labels(job), **labels
+    ):
+        start = time.perf_counter()
+        value = job.run()
+        duration = time.perf_counter() - start
+    if reg is not None:
+        reg.histogram(telemetry.ENGINE_RUN_SECONDS).observe(duration)
+    return value, duration
+
+
+def _pool_run(
+    job: Job, context: "tuple[str | None, float, bool, str | None] | None"
+) -> tuple[Any, float, list[dict[str, Any]], dict[str, Any] | None]:
+    """The pool-worker entry point: ``(value, duration, spans, delta)``.
+
+    Also the fault site for injected worker kills, which must never fire in
+    the submitting process.  ``context`` is ``None`` when telemetry is off
+    there; otherwise it is ``(parent_span, submitted_ts, trace, trace_id)``:
+    the worker records queue wait, parents its span onto the submitting span
+    under the request's trace id (one trace tree across the pool), and
+    returns its registry's per-job metric delta -- reset before the job,
+    drained after -- which the parent folds in exactly with
+    :meth:`repro.telemetry.MetricsRegistry.merge_snapshot`.  The span buffer
+    is drained after every job, so no record outlives its job.
     """
     faults.injector().on_job_start()
+    if context is None:
+        return (*_run(job, None), telemetry.drain_worker_spans(), None)
+    parent, submitted_ts, trace, trace_id = context
     telemetry.enable_collection()
     if trace and not telemetry.tracing_active():
         telemetry.enable_tracing(telemetry.SpanBuffer())
     telemetry.set_trace_id(trace_id)
     reg = telemetry.registry()
     # A forked worker inherits the submitting process's registry contents;
-    # start this job's delta from empty (the trailing drain() keeps it empty
-    # between jobs, so this only discards inherited state, never real data).
+    # start this job's delta from empty.
     reg.reset()
-    labels = _span_labels(job)
-    if submitted_ts is not None:
-        queue_wait = max(0.0, time.time() - submitted_ts)
-        reg.histogram(telemetry.ENGINE_QUEUE_WAIT_SECONDS).observe(queue_wait)
-        labels["queue_wait_s"] = round(queue_wait, 6)
-    with telemetry.span("job.run", kind="engine", parent=parent_span, **labels):
-        value, duration = _execute(job)
-    reg.histogram(telemetry.ENGINE_RUN_SECONDS).observe(duration)
+    queue_wait = max(0.0, time.time() - submitted_ts)
+    reg.histogram(telemetry.ENGINE_QUEUE_WAIT_SECONDS).observe(queue_wait)
+    value, duration = _run(job, reg, parent, queue_wait_s=round(queue_wait, 6))
     return value, duration, telemetry.drain_worker_spans(), reg.drain()
 
 
@@ -366,11 +373,8 @@ def iter_jobs(
     """
     jobs = list(jobs)
     total = len(jobs)
-    # Telemetry is decided once per stream: when collection/tracing is off,
-    # execution takes exactly the legacy path (no clock reads, no counter
-    # updates, the plain _execute worker entry).
-    collecting = telemetry.collection_enabled() or telemetry.tracing_active()
-    reg = telemetry.registry() if collecting else None
+    # Telemetry is decided once per stream.
+    reg = _active_registry()
     if reg is not None:
         reg.counter(telemetry.ENGINE_JOBS_SCHEDULED).inc(total)
 
@@ -394,7 +398,7 @@ def iter_jobs(
                 return
             job = jobs[index]
             yield JobEvent(STARTED, job, index, total)
-            outcome = _run_one(job, cache, collecting=collecting)
+            outcome = _run_one(job, cache, reg)
             if reg is not None:
                 reg.counter(
                     telemetry.ENGINE_JOBS_FINISHED if outcome.ok
@@ -420,31 +424,24 @@ def iter_jobs(
     try:
         futures: dict[Any, int] = {}
         attempts: dict[int, int] = {}
-        parent_span = telemetry.current_span_id() if collecting else None
-        trace = collecting and telemetry.tracing_active()
-        trace_id = telemetry.current_trace_id() if collecting else None
+        parent_span = telemetry.current_span_id()
+        trace = telemetry.tracing_active()
+        trace_id = telemetry.current_trace_id()
 
         def _submit(index: int) -> None:
             attempts[index] = attempts.get(index, 0) + 1
-            if collecting:
-                future = submit(
-                    _execute_collected, jobs[index], parent_span, time.time(), trace,
-                    trace_id,
-                )
-            else:
-                future = submit(_pool_execute, jobs[index])
-            futures[future] = index
+            context = (
+                (parent_span, time.time(), trace, trace_id) if reg is not None else None
+            )
+            futures[submit(_pool_run, jobs[index], context)] = index
 
         def _harvest(future, index: int) -> JobEvent:
             """Fold one successful future into the cache; terminal event."""
-            result = future.result()
-            if collecting:
-                value, duration, spans, delta = result
-                telemetry.write_records(spans)
+            value, duration, spans, delta = future.result()
+            telemetry.write_records(spans)
+            if reg is not None:
                 reg.merge_snapshot(delta)
                 reg.counter(telemetry.ENGINE_JOBS_FINISHED).inc()
-            else:
-                value, duration = result
             if cache is not None:
                 cache.put(jobs[index], value)
             outcome = JobOutcome(job=jobs[index], value=value, duration_s=duration)
@@ -563,23 +560,11 @@ def run_jobs(
 
 
 def _run_one(
-    job: Job, cache: ResultCache | None, *, collecting: bool = False
+    job: Job, cache: ResultCache | None, reg: "telemetry.MetricsRegistry | None"
 ) -> JobOutcome:
-    """Execute one job inline, storing the result in the cache on success.
-
-    With ``collecting`` the run is wrapped in a ``job.run`` span and its
-    duration lands in the run-seconds histogram -- recorded directly into
-    this process's registry (no worker round-trip needed inline).
-    """
+    """Execute one job inline, storing the result in the cache on success."""
     try:
-        if collecting:
-            with telemetry.span("job.run", kind="engine", **_span_labels(job)):
-                value, duration = _execute(job)
-            telemetry.registry().histogram(telemetry.ENGINE_RUN_SECONDS).observe(
-                duration
-            )
-        else:
-            value, duration = _execute(job)
+        value, duration = _run(job, reg)
     except Exception:
         return JobOutcome(job=job, error=traceback.format_exc())
     if cache is not None:

@@ -50,6 +50,7 @@ from repro.engine.executor import (
     PoolSupervisor,
     ProgressFn,
     EngineError,
+    _active_registry,
     iter_jobs,
 )
 from repro.engine.jobs import Job, ShardedJob
@@ -64,9 +65,13 @@ class _Node:
     outcome: JobOutcome | None = None  # set for cache hits and settled jobs
 
 
-def _expand(job: Job, shard_size: int, cache: ResultCache | None) -> _Node:
+def _expand(job: Job, shard_size: int | None, cache: ResultCache | None) -> _Node:
     node = _Node(job)
-    subs = job.shard_jobs(shard_size) if isinstance(job, ShardedJob) else None
+    subs = (
+        job.shard_jobs(shard_size)
+        if shard_size is not None and isinstance(job, ShardedJob)
+        else None
+    )
     if not subs:
         return node  # leaf: executed (or cache-served) by iter_jobs
     cached = cache.get(job) if cache is not None else None
@@ -96,22 +101,20 @@ def _merge_outcome(node: _Node, cache: ResultCache | None) -> JobOutcome:
             f"[{outcome.job.job_id}] {outcome.error}" for outcome in failures
         )
         return JobOutcome(job=node.job, error=errors)
-    if telemetry.collection_enabled() or telemetry.tracing_active():
-        with telemetry.span(
-            "job.merge",
-            kind="engine",
-            job=node.job.job_id,
-            job_kind=node.job.kind,
-            children=len(child_outcomes),
-        ):
-            start = time.perf_counter()
-            value = node.job.merge([outcome.value for outcome in child_outcomes])
-            elapsed = time.perf_counter() - start
-        reg = telemetry.registry()
+    with telemetry.span(
+        "job.merge",
+        kind="engine",
+        job=node.job.job_id,
+        job_kind=node.job.kind,
+        children=len(child_outcomes),
+    ):
+        start = time.perf_counter()
+        value = node.job.merge([outcome.value for outcome in child_outcomes])
+        elapsed = time.perf_counter() - start
+    reg = _active_registry()
+    if reg is not None:
         reg.counter(telemetry.ENGINE_MERGES).inc()
         reg.histogram(telemetry.ENGINE_MERGE_SECONDS).observe(elapsed)
-    else:
-        value = node.job.merge([outcome.value for outcome in child_outcomes])
     if cache is not None:
         cache.put(node.job, value)
     return JobOutcome(
@@ -190,20 +193,14 @@ def iter_sharded(
     holds top-level terminal events back into submission order (deterministic
     output); everything else still streams in completion order.
 
-    ``shard_size=None`` (or jobs that decline to shard) degrades exactly to
-    :func:`~repro.engine.executor.iter_jobs`.  A ``cancel`` token cancels
-    the underlying leaf stream; parents whose shards were abandoned never
-    merge and emit no terminal event.
+    ``shard_size=None`` expands every job to a leaf with no children, so
+    the run is exactly :func:`~repro.engine.executor.iter_jobs` over the
+    jobs themselves.  A ``cancel`` token cancels the underlying leaf stream;
+    parents whose shards were abandoned never merge and emit no terminal
+    event.
     """
     jobs = list(jobs)
-    if shard_size is None:
-        stream = iter_jobs(
-            jobs, workers=workers, cache=cache, fail_fast=fail_fast, pool=pool,
-            cancel=cancel,
-        )
-        yield from _ordered_gate(stream, jobs) if ordered else stream
-        return
-    if shard_size <= 0:
+    if shard_size is not None and shard_size <= 0:
         raise ValueError(f"shard_size must be positive, got {shard_size}")
 
     roots = [_expand(job, shard_size, cache) for job in jobs]

@@ -29,7 +29,6 @@ from repro.fleet.devices import (
 )
 from repro.fleet.traffic import (
     MAX_IMPOSTOR_REDRAWS,
-    SCALAR_ENV_VAR,
     TrafficConfig,
     TrafficSummary,
     authenticate_block,
@@ -41,7 +40,6 @@ from repro.fleet.verifier import FleetVerifier, GoldenStore
 __all__ = [
     "FLEET_PUF_FACTORIES",
     "MAX_IMPOSTOR_REDRAWS",
-    "SCALAR_ENV_VAR",
     "DeviceFleet",
     "FleetConfig",
     "FleetDevice",

@@ -39,20 +39,18 @@ computes every Jaccard similarity in one batched kernel against gathered
 :class:`~repro.fleet.verifier.GoldenStore` slices before scattering results
 back to request-index order.  Because streams are per-request and PUF
 evaluation never mutates device state, regrouping is invisible: the batched
-block is bit-identical to the scalar reference loop, which is kept as
-:func:`authenticate_block_scalar` and can be forced process-wide with
-``REPRO_FLEET_SCALAR=1`` (how CI proves byte-identity end to end).
+block is bit-identical to the scalar reference loop,
+:func:`authenticate_block_scalar` over :func:`authenticate_request`, which
+stays here as the oracle the tests replay the batched kernel against.
 
 Per-request PUF evaluation inside the grouped phase (and golden enrollment)
 runs the multi-read module kernels of :mod:`repro.dram.module` -- each
 ``device.evaluate`` call is one counting kernel over a memoized segment
-profile instead of a per-read Python loop (``REPRO_PUF_SCALAR=1`` forces the
-scalar reference loops there, independently of ``REPRO_FLEET_SCALAR``).
+profile instead of a per-read Python loop.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -176,11 +174,6 @@ def authenticate_request(
     presenter = fleet.device(presenter_id)
     response = presenter.evaluate(challenge, temperature_c, rng=rng)
     return is_impostor, verifier.similarity(device_id, challenge_index, response)
-
-
-#: Environment switch forcing every block through the scalar reference loop
-#: (CI compares the two paths byte-for-byte through the full CLI).
-SCALAR_ENV_VAR = "REPRO_FLEET_SCALAR"
 
 
 def _check_block(
@@ -347,26 +340,22 @@ def authenticate_block(
 
     Each returned ``float64`` array keeps its category's request-index order,
     so concatenating block results (in block order) reproduces the full
-    stream's arrays exactly.  Runs the plan + grouped-evaluation kernel
-    (bit-identical to :func:`authenticate_block_scalar`, which
-    ``REPRO_FLEET_SCALAR=1`` forces instead).
+    stream's arrays exactly.  Runs the plan + grouped-evaluation kernel,
+    bit-identical to :func:`authenticate_block_scalar`.
     """
-    if os.environ.get(SCALAR_ENV_VAR) == "1":
-        return authenticate_block_scalar(fleet, verifier, traffic, start, stop)
     _check_block(fleet, traffic, start, stop)
     plan = _plan_block(fleet, traffic, start, stop)
-    if telemetry.collection_enabled():
-        # Service-grade latency, amortized: the collection gate is checked
-        # once per block and each evaluation group is timed with one clock
-        # pair (not one per request).  Timing never touches the RNG streams,
-        # so recorded similarities are bit-identical to the untimed path.
-        reg = telemetry.registry()
-        latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS)
-        with telemetry.span("fleet.auth_block", kind="fleet", start=start, stop=stop):
-            genuine, impostor = _evaluate_block(fleet, verifier, plan, latency=latency)
+    # Service-grade latency, amortized: the collection gate is checked once
+    # per block and each evaluation group is timed with one clock pair (not
+    # one per request).  Timing never touches the RNG streams, so recorded
+    # similarities are bit-identical with collection on or off.
+    reg = telemetry.registry() if telemetry.collection_enabled() else None
+    latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS) if reg is not None else None
+    with telemetry.span("fleet.auth_block", kind="fleet", start=start, stop=stop):
+        genuine, impostor = _evaluate_block(fleet, verifier, plan, latency=latency)
+    if reg is not None:
         reg.counter(telemetry.FLEET_AUTH_REQUESTS).inc(stop - start)
-        return genuine, impostor
-    return _evaluate_block(fleet, verifier, plan)
+    return genuine, impostor
 
 
 def authenticate_block_scalar(
@@ -380,32 +369,26 @@ def authenticate_block_scalar(
 
     The pre-batch per-request loop, kept as the executable specification of
     :func:`authenticate_block`: the batched kernel must reproduce this
-    output bit-for-bit (tests compare both paths; CI replays the whole fleet
-    CLI under ``REPRO_FLEET_SCALAR=1`` against the batched run).
+    output bit-for-bit (the tests replay both paths and compare).
     """
     _check_block(fleet, traffic, start, stop)
     genuine: list[float] = []
     impostor: list[float] = []
-    if telemetry.collection_enabled():
-        # The scalar path keeps per-request timing (one clock pair per
-        # request) -- it is the reference, not the hot path.
-        reg = telemetry.registry()
-        latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS)
-        with telemetry.span("fleet.auth_block", kind="fleet", start=start, stop=stop):
-            for index in range(start, stop):
-                t0 = time.perf_counter()
-                is_impostor, similarity = authenticate_request(
-                    fleet, verifier, traffic, index
-                )
-                latency.observe(time.perf_counter() - t0)
-                (impostor if is_impostor else genuine).append(similarity)
-        reg.counter(telemetry.FLEET_AUTH_REQUESTS).inc(stop - start)
-    else:
+    # The scalar path keeps per-request timing (one clock pair per request)
+    # -- it is the reference, not the hot path.
+    reg = telemetry.registry() if telemetry.collection_enabled() else None
+    latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS) if reg is not None else None
+    with telemetry.span("fleet.auth_block", kind="fleet", start=start, stop=stop):
         for index in range(start, stop):
+            t0 = time.perf_counter() if latency is not None else 0.0
             is_impostor, similarity = authenticate_request(
                 fleet, verifier, traffic, index
             )
+            if latency is not None:
+                latency.observe(time.perf_counter() - t0)
             (impostor if is_impostor else genuine).append(similarity)
+    if reg is not None:
+        reg.counter(telemetry.FLEET_AUTH_REQUESTS).inc(stop - start)
     return (
         np.asarray(genuine, dtype=np.float64),
         np.asarray(impostor, dtype=np.float64),

@@ -8,8 +8,7 @@ latency-based PUFs).
 
 Responses are **array-native**: the position set is stored as a sorted
 ``np.int64`` array (see :mod:`repro.puf.positions`) so Jaccard comparisons
-and filtering reduce to sorted-array set operations.  A frozenset view is
-kept for callers that still want Python set semantics.
+and filtering reduce to sorted-array set operations.
 """
 
 from __future__ import annotations
@@ -50,10 +49,8 @@ class Challenge:
 class PUFResponse:
     """A PUF response: the set of characteristic bit positions of a segment.
 
-    The native representation is :attr:`position_array`, a sorted unique
-    ``np.int64`` array; :attr:`positions` materializes a frozenset view on
-    first access for callers that want Python set semantics.  Construct from
-    either form::
+    The representation is :attr:`position_array`, a sorted unique
+    ``np.int64`` array.  Construct from a position set or from that array::
 
         PUFResponse(positions={3, 17}, challenge=challenge)
         PUFResponse(position_array=sorted_array, challenge=challenge)
@@ -67,7 +64,7 @@ class PUFResponse:
     that), or the stored hashable response is corrupted.
     """
 
-    __slots__ = ("position_array", "challenge", "temperature_c", "_positions")
+    __slots__ = ("position_array", "challenge", "temperature_c")
 
     def __init__(
         self,
@@ -99,21 +96,13 @@ class PUFResponse:
         self.position_array = array
         self.challenge = challenge
         self.temperature_c = temperature_c
-        self._positions: frozenset[int] | None = None
 
     def __setattr__(self, name: str, value: object) -> None:
-        # Immutable after construction (responses are hashable); only the
-        # lazy frozenset cache slot may be written later.
-        if name != "_positions" and hasattr(self, "_positions"):
+        # Immutable after construction (responses are hashable): temperature_c
+        # is the last slot __init__ fills, so once it is set every write fails.
+        if hasattr(self, "temperature_c"):
             raise AttributeError(f"PUFResponse is immutable; cannot set {name!r}")
         object.__setattr__(self, name, value)
-
-    @property
-    def positions(self) -> frozenset[int]:
-        """Frozenset view of the position set (materialized lazily)."""
-        if self._positions is None:
-            self._positions = frozenset(self.position_array.tolist())
-        return self._positions
 
     def __len__(self) -> int:
         return int(self.position_array.size)

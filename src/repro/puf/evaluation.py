@@ -25,14 +25,14 @@ On top of the scalar kernels sit the **batched pair kernels**
 preallocated ``float64`` arrays, reusing one PUF instance per module, while
 drawing from the same per-pair streams in the same order -- so batch results
 are bit-identical to looping the scalar kernel, and the ``*_shard`` methods
-(and therefore the engine's ``PUFPairsShardJob``) route through them.
+(and therefore the engine's ``PUFPairsJob`` ranges) route through them.
 
 Since the multi-read refactor, every ``puf.evaluate`` call inside these
 kernels runs a one-pass multi-read module kernel (hoisted profile memos, one
 counting reduction instead of per-pass set intersection; see
 :mod:`repro.dram.module`), so the pair kernels inherit the speedup without
-changing shape; ``REPRO_PUF_SCALAR=1`` forces the retained scalar reference
-loops for byte-identity comparison.
+changing shape.  Each PUF class keeps its per-pass ``evaluate_scalar`` loop
+as the reference the tests compare ``evaluate`` against.
 """
 
 from __future__ import annotations

@@ -16,28 +16,18 @@ combinators: every per-pass observation array is unique, so one
 ``np.unique(return_counts=True)`` over the concatenated passes replaces the
 pairwise :func:`intersect_filter` reduction (keep ``counts == passes``) and
 directly generalizes :func:`majority_filter` (keep ``counts > threshold``).
-The PUF classes route their ``evaluate`` methods through those kernels unless
-:data:`PUF_SCALAR_ENV_VAR` forces the retained scalar reference loops.
+The PUF classes route their ``evaluate`` methods through those kernels; the
+CODIC-sig and PreLat ``evaluate_scalar`` reference loops still reduce their
+per-pass observations with :func:`intersect_filter`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.puf.positions import as_position_array, intersect_positions
-
-#: Environment switch forcing every PUF ``evaluate`` through the retained
-#: scalar reference loops (mirrors ``REPRO_FLEET_SCALAR``): CI byte-compares
-#: the two paths through the full experiment CLI.
-PUF_SCALAR_ENV_VAR = "REPRO_PUF_SCALAR"
-
-
-def scalar_mode_forced() -> bool:
-    """True when ``REPRO_PUF_SCALAR=1`` forces the scalar reference loops."""
-    return os.environ.get(PUF_SCALAR_ENV_VAR) == "1"
 
 
 def majority_filter(

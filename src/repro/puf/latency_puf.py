@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.dram.module import DRAMModule
 from repro.puf.base import Challenge, PUFResponse
-from repro.puf.filtering import scalar_mode_forced
 from repro.utils.rng import make_rng
 
 
@@ -51,12 +50,9 @@ class DRAMLatencyPUF:
         Routes through the fused counting kernel
         (:meth:`repro.dram.module.DRAMModule.rcd_filtered_response` with a
         live rng: one rank-wide binomial draw over the memoized segment
-        profile), bit-identical to the retained :meth:`evaluate_scalar`
-        per-chip loop; ``REPRO_PUF_SCALAR=1`` forces the scalar path
-        process-wide.
+        profile), bit-identical to :meth:`evaluate_scalar`, the per-chip
+        reference loop the tests compare it against.
         """
-        if scalar_mode_forced():
-            return self.evaluate_scalar(challenge, temperature_c, rng)
         if rng is None:
             self._evaluations += 1
             noise_rng = make_rng(self.noise_seed, "latency-puf", self._evaluations)

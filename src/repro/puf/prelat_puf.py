@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.dram.module import DRAMModule
 from repro.puf.base import Challenge, PUFResponse
-from repro.puf.filtering import intersect_filter, scalar_mode_forced
+from repro.puf.filtering import intersect_filter
 from repro.utils.rng import make_rng
 
 
@@ -54,11 +54,9 @@ class PreLatPUF:
 
         Routes through the coalesced multi-read kernel
         (:meth:`repro.dram.module.DRAMModule.rp_response_multi`), which is
-        bit-identical to the retained :meth:`evaluate_scalar` loop;
-        ``REPRO_PUF_SCALAR=1`` forces the scalar path process-wide.
+        bit-identical to :meth:`evaluate_scalar`, the reference loop the
+        tests compare it against.
         """
-        if scalar_mode_forced():
-            return self.evaluate_scalar(challenge, temperature_c, rng)
         passes = self.filter_passes
         if rng is None:
             # Advance the bookkeeping counter exactly as the scalar loop's

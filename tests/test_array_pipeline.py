@@ -140,7 +140,6 @@ class TestArrayValueIdentity:
     @settings(max_examples=100, deadline=None)
     def test_response_positions_view_matches_array(self, positions):
         response = PUFResponse(positions=positions, challenge=Challenge(SegmentAddress(0, 0)))
-        assert response.positions == positions
         assert set(response.position_array.tolist()) == positions
         assert len(response) == len(positions)
 
@@ -251,6 +250,10 @@ class TestPUFResponseAPI:
         response = PUFResponse(positions={1}, challenge=Challenge(SegmentAddress(0, 0)))
         with pytest.raises(AttributeError):
             response.temperature_c = 55.0
+        with pytest.raises(AttributeError):
+            response.position_array = np.array([2], dtype=np.int64)
+        assert response.temperature_c == 30.0
+        assert response.position_array.tolist() == [1]
 
     def test_hashable(self):
         challenge = Challenge(SegmentAddress(0, 0))

@@ -133,10 +133,13 @@ class TestMemoryIndexCache:
         assert len(cache) == 0
 
     def test_index_is_bounded_lru(self, tmp_path):
-        from repro.engine import MonteCarloShardJob
+        from repro.engine import MonteCarloPointJob, RangeShard
 
         cache = MemoryIndexCache(ResultCache(tmp_path), max_entries=2)
-        jobs = [MonteCarloShardJob(4.0, 30.0, 0, 10, seed=seed) for seed in range(3)]
+        jobs = [
+            RangeShard(MonteCarloPointJob(4.0, 30.0, seed=seed), 0, 10)
+            for seed in range(3)
+        ]
         for flips, job in enumerate(jobs):
             cache.put(job, flips)
         assert len(cache) == 2  # oldest entry evicted from memory...

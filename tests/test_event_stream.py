@@ -33,8 +33,8 @@ from repro.engine import (
     JobEvent,
     JobOutcome,
     MonteCarloPointJob,
-    MonteCarloShardJob,
     PoolSupervisor,
+    RangeShard,
     ResultCache,
     iter_jobs,
     iter_sharded,
@@ -184,7 +184,7 @@ class TestIterJobs:
         assert "exploded" in events[-1].outcome.error
 
     def test_event_to_dict_is_json_safe(self):
-        job = MonteCarloShardJob(4.0, 30.0, 0, 2_000)
+        job = RangeShard(MonteCarloPointJob(4.0, 30.0), 0, 2_000)
         outcome = JobOutcome(job=job, value=3, duration_s=0.5)
         payload = JobEvent(FINISHED, job, 2, 7, outcome).to_dict(include_value=True)
         assert json.loads(json.dumps(payload)) == payload
@@ -230,7 +230,8 @@ class TestJobEventWireFormat:
         assert job.decode(received["value"]) == outcome.value
 
     def test_shard_coordinates_round_trip(self):
-        job = MonteCarloShardJob(4.0, 30.0, MC_SAMPLE_BLOCK, 2 * MC_SAMPLE_BLOCK)
+        point = MonteCarloPointJob(4.0, 30.0)
+        job = RangeShard(point, MC_SAMPLE_BLOCK, 2 * MC_SAMPLE_BLOCK)
         outcome = JobOutcome(job=job, value=5, duration_s=0.1)
         received = self._over_the_wire(JobEvent(FINISHED, job, 0, 2, outcome),
                                        include_value=True)
@@ -318,7 +319,7 @@ class TestFailFastPoolDrain:
         fresh = ResultCache(tmp_path)
         # The first shard was in flight alongside the failure: it drained
         # into the cache...
-        first_shard = MonteCarloShardJob(4.0, 30.0, 0, MC_SAMPLE_BLOCK)
+        first_shard = RangeShard(point, 0, MC_SAMPLE_BLOCK)
         assert fresh.get(first_shard) is not None
         # ... but the parent never saw all its shards, so no orphan merged
         # outcome was fabricated or cached.

@@ -23,12 +23,12 @@ from repro.engine import (
     run_sharded,
 )
 from repro.fleet import (
-    SCALAR_ENV_VAR,
     DeviceFleet,
     FleetConfig,
     FleetVerifier,
     GoldenStore,
     TrafficConfig,
+    TrafficSummary,
     authenticate_block,
     authenticate_block_scalar,
     authenticate_request,
@@ -466,18 +466,6 @@ class TestBatchedScalarIdentity:
             with pytest.raises(ValueError, match="at least two devices"):
                 kernel(fleet, verifier, traffic, 0, 1)
 
-    def test_env_var_forces_the_scalar_path(self, monkeypatch):
-        from repro.fleet import traffic as traffic_module
-
-        def fail(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("batched plan phase ran under REPRO_FLEET_SCALAR=1")
-
-        monkeypatch.setenv(SCALAR_ENV_VAR, "1")
-        monkeypatch.setattr(traffic_module, "_plan_block", fail)
-        fleet, verifier = fresh_runtime()
-        genuine, impostor = authenticate_block(fleet, verifier, TRAFFIC, 0, 8)
-        assert genuine.size + impostor.size == 8
-
     def test_latency_histogram_counts_sum_to_requests(self):
         telemetry.registry().reset()
         telemetry.enable_collection()
@@ -744,15 +732,30 @@ class TestFleetCLI:
         assert code == 0
         assert self.deterministic(plain) == self.deterministic(warm_sharded)
 
-    def test_json_scalar_path_matches_batched(self, capsys, monkeypatch):
-        base = ["fleet", "--devices", "8", "--requests", "16", "--seed", "11",
-                "--json", "--no-daemon"]
-        code, batched, _ = self.run_cli(base, capsys)
+    def test_json_scalar_path_matches_batched(self, capsys):
+        """The CLI's batched replay reports exactly what a direct replay of
+        the same stream through the scalar reference kernel gives."""
+        code, out, _ = self.run_cli(
+            ["fleet", "--devices", "8", "--requests", "16", "--seed", "11",
+             "--impostor-ratio", "0.25", "--json", "--no-daemon"],
+            capsys,
+        )
         assert code == 0
-        monkeypatch.setenv(SCALAR_ENV_VAR, "1")
-        code, scalar, _ = self.run_cli(base, capsys)
-        assert code == 0
-        assert self.deterministic(batched) == self.deterministic(scalar)
+        document = json.loads(out)
+        job = FleetTrafficJob(**document["config"])
+        fleet, verifier = fresh_runtime(job.fleet_config())
+        genuine, impostor = authenticate_block_scalar(
+            fleet, verifier, job.traffic_config(), 0, job.requests
+        )
+        summary = TrafficSummary(genuine=genuine, impostor=impostor)
+        threshold = document["threshold"]
+        assert summary.genuine_trials and summary.impostor_trials
+        assert document["genuine_trials"] == summary.genuine_trials
+        assert document["impostor_trials"] == summary.impostor_trials
+        assert document["frr"] == summary.frr(threshold)
+        assert document["far"] == summary.far(threshold)
+        assert document["genuine_mean_jaccard"] == round(summary.genuine_mean(), 6)
+        assert document["impostor_mean_jaccard"] == round(summary.impostor_mean(), 6)
 
     @pytest.mark.parametrize(
         "argv",

@@ -4,9 +4,8 @@ The batched multi-read evaluation core (`DRAMModule.sig_response_multi`,
 `rp_response_multi`, the fused counting `rcd_filtered_response`) must be
 bit-identical to the retained scalar reference loops for every vendor,
 temperature, filter configuration and rng mode -- that is the contract the
-golden fixtures and the `REPRO_PUF_SCALAR=1` CI byte-compare enforce at the
-system level, checked here directly at the kernel level with
-hypothesis-driven configurations.
+golden fixtures enforce at the system level, checked here directly at the
+kernel level with hypothesis-driven configurations.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.dram.geometry import DRAMGeometry
 from repro.dram.module import DRAMModule, SegmentAddress
 from repro.puf.base import Challenge
 from repro.puf.codic_puf import CODICSigPUF
-from repro.puf.filtering import PUF_SCALAR_ENV_VAR, scalar_mode_forced
 from repro.puf.latency_puf import DRAMLatencyPUF
 from repro.puf.prelat_puf import PreLatPUF
 from repro.utils.rng import make_rng
@@ -259,27 +257,18 @@ class TestEvaluationsCounterParity:
         assert np.array_equal(second_mixed.position_array, second_pure.position_array)
 
 
-class TestScalarEscapeHatch:
-    def test_env_var_forces_scalar_path(self, monkeypatch):
+class TestScalarReference:
+    def test_evaluate_consumes_shared_rng_like_scalar(self):
         module, _ = _module_pair("A")
         challenge = _challenge((0, 0))
-        monkeypatch.delenv(PUF_SCALAR_ENV_VAR, raising=False)
-        assert not scalar_mode_forced()
-        monkeypatch.setenv(PUF_SCALAR_ENV_VAR, "1")
-        assert scalar_mode_forced()
-        # evaluate() must produce the scalar loop's result (which is
-        # bit-identical anyway); prove the routing by checking the scalar
-        # loop's rng consumption pattern is used for a shared stream.
-        rng_forced = make_rng(21)
-        forced = CODICSigPUF(module, filter_passes=3).evaluate(
-            challenge, rng=rng_forced
+        rng_batched = make_rng(21)
+        batched = CODICSigPUF(module, filter_passes=3).evaluate(
+            challenge, rng=rng_batched
         )
         rng_scalar = make_rng(21)
         scalar = CODICSigPUF(module, filter_passes=3).evaluate_scalar(
             challenge, rng=rng_scalar
         )
-        assert np.array_equal(forced.position_array, scalar.position_array)
+        assert np.array_equal(batched.position_array, scalar.position_array)
         # Both consumed the stream identically: the next draw must agree.
-        assert rng_forced.integers(0, 2**31) == rng_scalar.integers(0, 2**31)
-        monkeypatch.setenv(PUF_SCALAR_ENV_VAR, "0")
-        assert not scalar_mode_forced()
+        assert rng_batched.integers(0, 2**31) == rng_scalar.integers(0, 2**31)

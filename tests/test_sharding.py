@@ -2,9 +2,10 @@
 
 Covers the determinism contract end to end: per-unit RNG streams
 (``StreamTree``), mergeable distributions, partition-independent Monte Carlo
-blocks, the ``ShardedJob`` split/merge protocol, sharded execution through
-the engine (including uneven shard sizes and multiple workers), shard-level
-cache reuse, LRU cache pruning, and the new CLI surface.
+blocks, the ``ShardedJob`` split/merge protocol and its ``RangeJob``/
+``RangeShard`` shape, pinned unit and shard identities, sharded execution
+through the engine (including uneven shard sizes and multiple workers),
+shard-level cache reuse, LRU cache pruning, and the new CLI surface.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from repro.engine import (
     ExperimentJob,
     FleetEnrollJob,
     MonteCarloPointJob,
-    MonteCarloShardJob,
     PUFPairsJob,
+    RangeShard,
     ResultCache,
     monte_carlo_grid,
     run_sharded,
@@ -126,7 +127,7 @@ class TestMonteCarloPartitionIndependence:
         ]
 
     def test_shard_job_round_trips_payload(self):
-        job = MonteCarloShardJob(4.0, 30.0, 0, 2_000)
+        job = RangeShard(MonteCarloPointJob(4.0, 30.0), 0, 2_000)
         flips = job.run()
         assert job.decode(job.encode(flips)) == flips
 
@@ -359,7 +360,10 @@ class TestRunSharded:
 
 class TestCachePruning:
     def _fill(self, cache: ResultCache, count: int) -> list:
-        jobs = [MonteCarloShardJob(4.0, 30.0, 0, 100, seed=seed) for seed in range(count)]
+        jobs = [
+            RangeShard(MonteCarloPointJob(4.0, 30.0, seed=seed), 0, 100)
+            for seed in range(count)
+        ]
         for job in jobs:
             cache.put(job, job.run())
         return jobs

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import random
+from concurrent.futures import Executor, Future
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.telemetry import (
     TraceWriter,
     TRACE_RECORD_KEYS,
 )
+from repro.engine import MonteCarloPointJob, RangeShard, iter_jobs
 
 
 @pytest.fixture(autouse=True)
@@ -497,3 +499,40 @@ class TestPrometheusEdgeCases:
         tiny = Histogram()
         tiny.observe(1e-9)
         assert tiny.quantile(0.5) == 1e-9
+
+
+class _RecordingPool(Executor):
+    """In-process executor recording every submission; runs it only when
+    ``run`` (a telemetry-on worker call would reconfigure this process)."""
+
+    def __init__(self, run: bool):
+        self.run = run
+        self.calls: list = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.calls.append((fn, args))
+        future: Future = Future()
+        future.set_result(fn(*args) if self.run else (0, 0.0, [], {}))
+        return future
+
+
+class TestEnginePoolEntry:
+    """One worker entry point whether or not telemetry is on; with it off,
+    pool jobs carry no telemetry context and the engine records nothing."""
+
+    def test_context_ships_only_when_telemetry_is_on(self):
+        jobs = [RangeShard(MonteCarloPointJob(4.0, 30.0), 0, 10)] * 2
+        off = _RecordingPool(run=True)
+        events = list(iter_jobs(jobs, pool=off))
+        assert [event.outcome.value for event in events if event.terminal] == [
+            jobs[0].run(), jobs[0].run()
+        ]
+        assert telemetry.registry().snapshot() == MetricsRegistry().snapshot()
+
+        telemetry.enable_collection()
+        on = _RecordingPool(run=False)
+        list(iter_jobs(jobs, pool=on))
+
+        assert len({fn for fn, _ in off.calls + on.calls}) == 1
+        assert [args[1] for _, args in off.calls] == [None, None]
+        assert all(args[1] is not None for _, args in on.calls)

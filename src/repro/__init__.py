@@ -36,34 +36,36 @@ Quickstart
 True
 """
 
-from repro.core import (
-    CODICCommand,
-    CODICSubstrate,
-    CODICVariant,
-    SignalSchedule,
-    VariantFunction,
-    VariantLibrary,
-    standard_variants,
-)
-from repro.circuit import CellCircuitSimulator, MonteCarloEngine
-from repro.dram import DRAMChip, DRAMModule, paper_population
-from repro.power import CommandEnergyModel
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CODICCommand",
-    "CODICSubstrate",
-    "CODICVariant",
-    "SignalSchedule",
-    "VariantFunction",
-    "VariantLibrary",
-    "standard_variants",
-    "CellCircuitSimulator",
-    "MonteCarloEngine",
-    "DRAMChip",
-    "DRAMModule",
-    "paper_population",
-    "CommandEnergyModel",
-    "__version__",
-]
+#: Public name -> the subpackage defining it.  The subpackages load NumPy, so
+#: they are imported on first use of a name (PEP 562), not with ``repro``.
+_EXPORTS = {
+    "CODICCommand": "repro.core",
+    "CODICSubstrate": "repro.core",
+    "CODICVariant": "repro.core",
+    "SignalSchedule": "repro.core",
+    "VariantFunction": "repro.core",
+    "VariantLibrary": "repro.core",
+    "standard_variants": "repro.core",
+    "CellCircuitSimulator": "repro.circuit",
+    "MonteCarloEngine": "repro.circuit",
+    "DRAMChip": "repro.dram",
+    "DRAMModule": "repro.dram",
+    "paper_population": "repro.dram",
+    "CommandEnergyModel": "repro.power",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

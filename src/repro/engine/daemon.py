@@ -811,10 +811,10 @@ class _Handler(socketserver.StreamRequestHandler):
         """Validate a submit request into its root jobs (``None`` = refused,
         an error/stale frame already went out).  Validation happens *before*
         queue admission so malformed requests never occupy a slot."""
-        from repro.experiments.registry import EXPERIMENTS
+        from repro.experiments.registry import EXPERIMENT_IDS
 
         experiments = request.get("experiments") or []
-        unknown = [eid for eid in experiments if eid not in EXPERIMENTS]
+        unknown = [eid for eid in experiments if eid not in EXPERIMENT_IDS]
         if not experiments or unknown:
             self._refuse(
                 daemon,
@@ -976,6 +976,11 @@ class ExperimentDaemon:
         recorder_capacity: int = 256,
         slow_request_s: float = 1.0,
     ):
+        # Import every experiment driver before the cache, pool and recorder
+        # exist, so the pool's forked workers inherit them and even the first
+        # job runs warm.
+        from repro.experiments.registry import EXPERIMENTS  # noqa: F401
+
         self.socket_path = Path(socket_path) if socket_path else default_socket_path()
         self.cache = MemoryIndexCache(
             ResultCache(Path(cache_dir) if cache_dir else default_cache_dir())
@@ -1110,11 +1115,10 @@ class ExperimentDaemon:
         self._server.daemon = self  # type: ignore[attr-defined]
         pid_path = _pid_file(self.socket_path)
         pid_path.write_text(f"{os.getpid()}\n")
-        # Fork the workers and import the experiment drivers now, so even the
-        # first request is served warm (the source fingerprint was already
+        # Fork the workers now (after __init__ imported the drivers), so even
+        # the first request is served warm (the source fingerprint was already
         # hashed when the cache was constructed).
         self.supervisor.warm()
-        from repro.experiments import registry  # noqa: F401 - pre-import drivers
 
         try:
             self._server.serve_forever(poll_interval=0.1)
@@ -1460,7 +1464,10 @@ def stop_daemon(
     operator to retry with force.
 
     The forced path SIGKILLs the pid from ``<socket>.pid`` and cleans up the
-    socket/pid files the daemon can no longer remove itself.
+    socket/pid files the daemon can no longer remove itself.  A daemon that
+    leads its own process group (as :func:`start_daemon` spawns it) is
+    killed with its whole group, so its forked pool workers die with it
+    instead of lingering, reparented to init, on the call queue.
     """
     path = Path(socket_path) if socket_path else default_socket_path()
     # Short probe timeouts: a wedged daemon accepts into the kernel backlog
@@ -1498,7 +1505,10 @@ def stop_daemon(
             f"({_pid_file(path)}) to SIGKILL"
         )
     try:
-        os.kill(pid, signal.SIGKILL)
+        if os.getpgid(pid) == pid:
+            os.killpg(pid, signal.SIGKILL)
+        else:
+            os.kill(pid, signal.SIGKILL)
     except ProcessLookupError:
         pass
     deadline = time.time() + max(wait_s, 1.0)

@@ -141,16 +141,9 @@ class ExperimentJob(ShardedJob):
         return {"experiment_id": self.experiment_id, "quick": self.quick}
 
     def run(self) -> Any:
-        from repro.experiments.registry import EXPERIMENTS
+        from repro.experiments.registry import driver
 
-        try:
-            driver = EXPERIMENTS[self.experiment_id]
-        except KeyError:
-            raise KeyError(
-                f"unknown experiment {self.experiment_id!r}; known experiments: "
-                f"{sorted(EXPERIMENTS)}"
-            ) from None
-        return driver(self.quick)
+        return driver(self.experiment_id)(self.quick)
 
     def shard_jobs(self, shard_size: int) -> list[Job] | None:
         from repro.experiments.sharding import plan_for

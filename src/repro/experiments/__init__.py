@@ -8,10 +8,27 @@ that the full set of experiments finishes in minutes on a laptop;
 
 The registry maps experiment identifiers (e.g. ``"table2"``, ``"fig7"``) to
 their drivers so that the benchmark harness and the command-line report
-generator can enumerate them.
+generator can enumerate them.  Importing this package loads no driver:
+``EXPERIMENT_IDS`` and ``driver(eid)`` import one driver on demand, while
+``EXPERIMENTS`` (id -> driver) imports every driver on first access.
 """
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import EXPERIMENTS, run_experiment, run_all
+from repro.experiments.registry import EXPERIMENT_IDS, driver, run_all, run_experiment
 
-__all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment", "run_all"]
+__all__ = [
+    "ExperimentResult",
+    "EXPERIMENTS",
+    "EXPERIMENT_IDS",
+    "driver",
+    "run_experiment",
+    "run_all",
+]
+
+
+def __getattr__(name: str):
+    if name == "EXPERIMENTS":
+        from repro.experiments import registry
+
+        return registry.EXPERIMENTS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -76,7 +76,7 @@ from repro.engine import (
     stop_daemon,
 )
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENT_IDS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -797,8 +797,8 @@ def _daemon_main(argv: list[str]) -> int:
             sp.add_argument(
                 "--force",
                 action="store_true",
-                help="SIGKILL the daemon (from its pid file) if it does not "
-                "shut down gracefully within --timeout",
+                help="SIGKILL the daemon (from its pid file), with its pool "
+                "workers, if it does not shut down gracefully within --timeout",
             )
             sp.add_argument(
                 "--timeout",
@@ -945,15 +945,15 @@ def _dispatch(argv: list[str] | None) -> int:
         return 2
 
     if args.list_experiments:
-        for experiment_id in EXPERIMENTS:
+        for experiment_id in EXPERIMENT_IDS:
             print(experiment_id)
         return 0
 
-    selected = args.experiments or list(EXPERIMENTS)
-    unknown = [experiment_id for experiment_id in selected if experiment_id not in EXPERIMENTS]
+    selected = args.experiments or list(EXPERIMENT_IDS)
+    unknown = [experiment_id for experiment_id in selected if experiment_id not in EXPERIMENT_IDS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"known experiments: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+        print(f"known experiments: {', '.join(EXPERIMENT_IDS)}", file=sys.stderr)
         return 2
 
     # A live daemon owns its own cache (memory index over its disk store), so

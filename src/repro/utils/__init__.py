@@ -1,7 +1,8 @@
 """Shared utilities: units, deterministic RNG helpers, and table rendering.
 
 These helpers are deliberately small and dependency-free so that every other
-subpackage can rely on them without introducing import cycles.
+subpackage can rely on them without introducing import cycles.  The RNG
+helpers need NumPy, so they are imported on first use (PEP 562).
 """
 
 from repro.utils.units import (
@@ -15,7 +16,6 @@ from repro.utils.units import (
     format_energy_nj,
     format_time_ns,
 )
-from repro.utils.rng import derive_seed, make_rng
 from repro.utils.tables import render_table
 
 __all__ = [
@@ -32,3 +32,11 @@ __all__ = [
     "make_rng",
     "render_table",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("derive_seed", "make_rng"):
+        from repro.utils import rng
+
+        return getattr(rng, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

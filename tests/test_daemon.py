@@ -948,6 +948,16 @@ class TestStopDaemonEscalation:
             assert stop_daemon(socket_path, wait_s=5.0, force=True) == "forced"
             assert not socket_path.exists()
             assert not _pid_file(socket_path).exists()
+            # The daemon led its own process group; its pool worker must die
+            # with it rather than linger, reparented, on the call queue.
+            deadline = time.time() + 10.0
+            while True:
+                try:
+                    os.killpg(pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.time() < deadline, "daemon's process group survived"
+                time.sleep(0.05)
         finally:
             try:
                 os.kill(pid, signal.SIGKILL)

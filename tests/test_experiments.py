@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.engine import ExperimentJob
+from repro.experiments import EXPERIMENT_IDS, EXPERIMENTS, driver, run_experiment
 from repro.experiments.base import ExperimentResult
 
 
@@ -20,6 +23,29 @@ class TestRegistry:
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             run_experiment("fig99")
+
+    def test_ids_list_the_registry_in_order(self):
+        assert EXPERIMENT_IDS == tuple(EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
+    def test_driver_resolves_the_registered_function(self, experiment_id):
+        # Catches a mistyped module or function name in the driver table.
+        assert driver(experiment_id) is EXPERIMENTS[experiment_id]
+
+    def test_unknown_id_keeps_the_key_error_text(self):
+        expected = (
+            f"unknown experiment 'fig99'; known experiments: {sorted(EXPERIMENTS)}"
+        )
+        for call in (lambda: driver("fig99"), lambda: ExperimentJob("fig99").run()):
+            with pytest.raises(KeyError) as info:
+                call()
+            assert info.value.args == (expected,)
+
+    @pytest.mark.parametrize("package", ["repro", "repro.utils"])
+    def test_every_public_name_resolves(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert getattr(module, name) is not None, name
 
 
 class TestResultContainer:

@@ -15,19 +15,21 @@ object serialized to a single line, preceded by its byte length on its own
 line (so consumers can pre-allocate and corrupt streams fail loudly)::
 
     22\n
-    {"op":"status","v":1}\n
+    {"op":"status","v":3}\n
 
-Requests (client -> daemon): ``submit`` (experiment ids + quick/shard_size;
-the daemon answers with one ``event`` frame per
+Requests (client -> daemon): ``submit`` is the one work op.  Its ``jobs``
+field lists root job specs, ``{"kind": job.kind, "config": job.config}``
+-- the identity that keys the cache -- from which the daemon rebuilds
+``experiment`` and ``fleet-traffic`` jobs, refusing any config field outside
+that identity.  It answers with one ``event`` frame per
 :class:`~repro.engine.executor.JobEvent` as shards land, then a ``done``
-frame carrying per-request cache stats), ``fleet`` (one fleet traffic job
-config; same event stream, done frame additionally carries this request's
-auth-latency histogram), ``cancel`` (abort an in-flight request by id),
-``metrics`` (Prometheus text exposition of the daemon's telemetry
-registry), ``dump``/``tail`` (the flight recorder's per-request diagnostic
-records; ``tail`` can ``follow`` the stream live), ``status``, ``ping``,
-and ``shutdown``.  Error responses are ``{"type": "error", "message":
-...}``.
+frame carrying ``hits``, ``misses``, ``memory_hits``, ``elapsed_s`` and
+``latency`` (the auth-latency histogram recorded while the request ran).
+The other ops: ``cancel`` (abort an in-flight request by id), ``metrics``
+(Prometheus text exposition of the daemon's telemetry registry),
+``dump``/``tail`` (the flight recorder's per-request diagnostic records;
+``tail`` can ``follow`` the stream live), ``status``, ``ping``, and
+``shutdown``.  Error responses are ``{"type": "error", "message": ...}``.
 
 Request tracing: every work request runs under a ``trace_id`` -- adopted
 from the client's request frame when it sent one (so client, daemon, and
@@ -69,17 +71,20 @@ Service semantics (this is a multi-client daemon, not a one-shot pipe):
   answer even while the queue is saturated.
 
 The daemon always runs with telemetry collection enabled: work requests
-(``submit``/``fleet``) are timed into the ``daemon_request_seconds``
-histogram and classified warm (every terminal outcome served from cache)
-vs cold; busy/timeout/cancelled/disconnect outcomes, queue wait and depth,
-and pool rebuilds are all counted too, and ``status`` embeds a full
-metrics snapshot plus service-health fields.
+are timed into the ``daemon_request_seconds`` histogram and classified
+warm (every terminal outcome served from cache) vs cold;
+busy/timeout/cancelled/disconnect outcomes, queue wait and depth, and pool
+rebuilds are all counted too, and ``status`` embeds a full metrics
+snapshot plus service-health fields.
 
 The CLI degrades gracefully: when no daemon is listening on the socket
-(``$REPRO_DAEMON_SOCKET`` or the per-user default), or the daemon answers
-busy/timeout/stale, execution happens inline in the invoking process,
-bit-identically.  Fault injection for all of the above is driven by
-:mod:`repro.engine.faults` (``$REPRO_FAULTS``).
+(``$REPRO_DAEMON_SOCKET`` or the per-user default), execution happens
+inline in the invoking process, bit-identically.  Until a routed call has
+written to stdout, ``busy`` or a dropped connection is retried and then
+run inline, and ``stale``/``timeout``/``cancelled``/``error`` run inline
+at once; after that, anything but ``done`` fails the call.  Fault
+injection for all of the above is driven by :mod:`repro.engine.faults`
+(``$REPRO_FAULTS``).
 """
 
 from __future__ import annotations
@@ -104,19 +109,30 @@ from repro import telemetry
 from repro.engine import faults as faults_mod
 from repro.engine.cache import ResultCache, default_cache_dir
 from repro.engine.executor import CancelToken, PoolSupervisor
-from repro.engine.jobs import ExperimentJob
+from repro.engine.jobs import ExperimentJob, FleetTrafficJob, Job
 from repro.engine.sharding import iter_sharded
 
 #: Environment override for the daemon socket location.
 SOCKET_ENV = "REPRO_DAEMON_SOCKET"
 
 #: Protocol version stamped on every request/response frame.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
-#: Frame types that settle a submit/fleet stream.
+#: Frame types that settle a submit stream.
 TERMINAL_FRAME_TYPES = frozenset(
     {"done", "error", "stale", "busy", "timeout", "cancelled"}
 )
+
+#: The root job classes a ``submit`` may name, by ``kind``.
+ROOT_JOBS = {job.kind: job for job in (ExperimentJob, FleetTrafficJob)}
+
+#: Counter bumped when a work request ends other than ``done``.
+_OUTCOME_COUNTERS = {
+    "busy": telemetry.DAEMON_REQUESTS_BUSY,
+    "timeout": telemetry.DAEMON_REQUESTS_TIMEOUT,
+    "cancelled": telemetry.DAEMON_REQUESTS_CANCELLED,
+    "disconnected": telemetry.DAEMON_DISCONNECTS,
+}
 
 #: Frames larger than this are rejected (corrupt length headers fail fast).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -449,8 +465,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 self._send({"type": "dump", **daemon.recorder.dump()})
             elif op == "tail":
                 self._handle_tail(daemon, request)
-            elif op in ("submit", "fleet"):
-                self._handle_work(daemon, request, op)
+            elif op == "submit":
+                self._handle_work(daemon, request)
             elif op == "cancel":
                 request_id = str(request.get("request_id") or "")
                 cancelled = daemon.cancel_request(request_id)
@@ -505,25 +521,25 @@ class _Handler(socketserver.StreamRequestHandler):
                     idle_rounds = 0
                     self._send({"type": "keepalive"})
 
-    def _handle_work(
-        self, daemon: "ExperimentDaemon", request: dict[str, Any], op: str
-    ) -> None:
-        """Admit, run, and settle one work request.
+    def _handle_work(self, daemon: "ExperimentDaemon", request: dict[str, Any]) -> None:
+        """Admit, run, and settle one ``submit`` request.
 
-        Flow: validate (error/stale frames bypass the queue) -> register a
-        :class:`~repro.engine.executor.CancelToken` under the request id ->
-        ``accepted`` frame -> FIFO admission (overflow answers ``busy``,
-        cancellation while queued answers ``timeout``/``cancelled``) ->
-        stream events with the token threaded through the engine -> settle
-        with ``done`` or the structured cancellation frame.  A client that
-        disconnects mid-stream cancels its own token; the stream drains
-        silently (in-flight shards still land in the cache) and no settle
-        frame is sent.
+        Flow: compare the client's source fingerprint (``stale`` frame) ->
+        rebuild the root jobs (:func:`_root_jobs`; a refusal is an ``error``
+        frame) -> register a :class:`~repro.engine.executor.CancelToken`
+        under the request id -> ``accepted`` frame -> FIFO admission ->
+        stream events with the token threaded through the engine -> settle.
+        The fingerprint comes first, so a client built from other sources
+        hears ``stale`` even when its request would not validate here, and
+        neither refusal occupies a queue slot.  A client that disconnects
+        mid-stream cancels its own token; the stream drains silently
+        (in-flight shards still land in the cache) and no terminal frame is
+        sent.
 
         A request is *warm* when every terminal outcome was served from
-        cache; refused/busy/cancelled requests count as neither.  The run
-        helpers return the ``done`` frame instead of sending it so every
-        metric is updated *before* the client sees the request complete.
+        cache; refused/busy/cancelled requests count as neither.  Every
+        terminal frame leaves through :meth:`_settle`, which counts and
+        releases the request first.
 
         Trace context: the client's ``trace_id`` (minted fresh when it sent
         none) is installed in this handler thread's context for the whole
@@ -531,28 +547,17 @@ class _Handler(socketserver.StreamRequestHandler):
         submit path, every pool-worker span record it -- and stamped on the
         ``accepted``/``event``/terminal frames.  The flight recorder's
         :class:`~repro.telemetry.RequestRecord` opens once the request id is
-        registered and is finalized *before* the terminal frame goes out
-        (so a client that dumps the moment it sees ``done`` finds the
-        record already in the ring), with an idempotent ``finally`` safety
-        net so every exit path -- including disconnects and handler crashes,
-        which send no terminal frame -- still leaves a record.  The request
-        id is released at the same point (:meth:`_release`), so a client that
-        sees the terminal frame can resubmit under the same id at once.
+        registered; the ``finally`` safety net completes it on exit paths
+        that send no terminal frame (disconnects, handler crashes).
         """
         reg = telemetry.registry()
         reg.counter(telemetry.DAEMON_REQUESTS).inc()
-        prepared = (
-            self._prepare_submit(daemon, request)
-            if op == "submit"
-            else self._prepare_fleet(daemon, request)
-        )
-        if prepared is None:
+        if not self._check_code_version(daemon, request):
             return
-        timeout_s = request.get("timeout_s")
-        if timeout_s is not None and (
-            not isinstance(timeout_s, (int, float)) or timeout_s <= 0
-        ):
-            self._refuse(daemon, "timeout_s must be a positive number")
+        try:
+            jobs = _root_jobs(request)
+        except ValueError as error:
+            self._refuse(daemon, str(error))
             return
         trace_id = request.get("trace_id")
         if not (isinstance(trace_id, str) and trace_id):
@@ -560,17 +565,19 @@ class _Handler(socketserver.StreamRequestHandler):
         parent_span = request.get("parent_span")
         if not isinstance(parent_span, str):
             parent_span = None
-        deadline = time.monotonic() + timeout_s if timeout_s is not None else None
-        token = CancelToken(deadline=deadline)
+        timeout_s = request.get("timeout_s")
+        token = CancelToken(
+            deadline=time.monotonic() + timeout_s if timeout_s is not None else None
+        )
         request_id = str(request.get("request_id") or daemon.next_request_id())
         if not daemon.register_request(request_id, token):
             self._refuse(
                 daemon, f"request_id {request_id!r} is already in flight"
             )
             return
+        self._request = (request_id, token)
         trace_token = telemetry.set_trace_id(trace_id)
-        record = daemon.recorder.begin(request_id, op, trace_id)
-        self._record = record
+        record = self._record = daemon.recorder.begin(request_id, "submit", trace_id)
         self._record_base = (
             reg.counter(telemetry.ENGINE_JOB_RETRIES).value,
             reg.counter(telemetry.FAULTS_INJECTED).value,
@@ -591,170 +598,126 @@ class _Handler(socketserver.StreamRequestHandler):
             if record is not None:
                 record.queue_wait_s = time.perf_counter() - queue_t0
             if admission == "busy":
-                reg.counter(telemetry.DAEMON_REQUESTS_BUSY).inc()
-                if record is not None:
-                    record.outcome = "busy"
-                self._release(daemon, request_id, token, "busy")
-                self._send(
-                    {
-                        "type": "busy",
-                        "request_id": request_id,
-                        "trace_id": trace_id,
-                        "message": (
-                            f"daemon at capacity ({daemon.queue.max_inflight} "
-                            f"in flight, {daemon.queue.queued} queued, "
-                            f"depth limit {daemon.queue.queue_depth})"
-                        ),
-                    }
+                message = (
+                    f"daemon at capacity ({daemon.queue.max_inflight} in flight, "
+                    f"{daemon.queue.queued} queued, depth limit {daemon.queue.queue_depth})"
                 )
+                self._settle(daemon, "busy", {"message": message})
                 return
-            if admission != "ok":
-                self._settle_cancelled(
-                    reg, daemon, request_id, token, phase="queued",
-                    trace_id=trace_id,
-                )
-                return
-            try:
-                start = time.perf_counter()
-                with telemetry.span(
-                    "daemon.request", kind="daemon", parent=parent_span,
-                    op=op, request_id=request_id,
-                ):
-                    done = self._run_work(daemon, request, op, prepared, token)
-                run_s = time.perf_counter() - start
-                if record is not None:
-                    record.run_s = run_s
-                reg.histogram(telemetry.DAEMON_REQUEST_SECONDS).observe(run_s)
-            finally:
-                daemon.queue.leave()
-            if token.cancelled:
-                self._settle_cancelled(
-                    reg, daemon, request_id, token, phase="running",
-                    trace_id=trace_id,
-                )
-                return
-            if done is not None:
-                warm = done["misses"] == 0
-                reg.counter(
-                    telemetry.DAEMON_REQUESTS_WARM
-                    if warm
-                    else telemetry.DAEMON_REQUESTS_COLD
-                ).inc()
-                if record is not None:
-                    record.outcome = "done"
-                    record.warm = warm
-                    record.hits = done["hits"]
-                    record.misses = done["misses"]
-                    record.memory_hits = done["memory_hits"]
-                self._release(daemon, request_id, token, str(done.get("type")))
-                self._send({**done, "request_id": request_id, "trace_id": trace_id})
+            if admission == "ok":
+                try:
+                    start = time.perf_counter()
+                    with telemetry.span(
+                        "daemon.request", kind="daemon", parent=parent_span,
+                        request_id=request_id,
+                    ):
+                        done = self._run_work(daemon, request, jobs, token)
+                    run_s = time.perf_counter() - start
+                    if record is not None:
+                        record.run_s = run_s
+                    reg.histogram(telemetry.DAEMON_REQUEST_SECONDS).observe(run_s)
+                finally:
+                    daemon.queue.leave()
+                if not token.cancelled:
+                    self._settle(daemon, "done", done)
+                    return
+            # Cancelled while queued (admission answered the reason) or while
+            # running (the stream saw the token fire).
+            reason = token.reason or "cancelled"
+            phase = "running" if admission == "ok" else "queued"
+            detail = "deadline passed" if reason == "timeout" else reason
+            frame = {"phase": phase, "message": f"request {detail} while {phase}"}
+            self._settle(daemon, reason, None if reason == "disconnected" else frame)
         except _ClientGone:
             token.cancel("disconnected")
-            reg.counter(telemetry.DAEMON_DISCONNECTS).inc()
-            if record is not None:
-                record.outcome = "disconnected"
+            self._settle(daemon, "disconnected")
             raise
         except Exception as error:
-            if record is not None:
-                record.outcome = "error"
-                record.fail(type(error).__name__, str(error))
+            if self._record is not None:
+                self._record.outcome = "error"
+                self._record.fail(type(error).__name__, str(error))
             raise
         finally:
-            self._release(daemon, request_id, token, None)
+            self._release(daemon)
             telemetry.reset_trace_id(trace_token)
 
     def _refuse(self, daemon: "ExperimentDaemon", message: str) -> None:
         """Refuse a request at validation with an ``error`` frame.
 
-        Refusals happen before a request id exists, so they leave no ring
-        record -- but they do land in the flight recorder's error audit, so
-        ``daemon status`` still surfaces a client hammering the daemon with
-        malformed requests as its ``last_error``.
+        Every refusal before admission comes through here.  Refusals happen
+        before a request id exists, so they leave no ring record -- but they
+        do land in the flight recorder's error audit, so ``daemon status``
+        still surfaces a client hammering the daemon with malformed requests
+        as its ``last_error``.
         """
         daemon.recorder.note_error("bad_request", message)
         self._send({"type": "error", "message": message})
 
-    def _release(
+    def _settle(
         self,
         daemon: "ExperimentDaemon",
-        request_id: str,
-        token: CancelToken,
-        terminal: str | None,
+        outcome: str,
+        frame: dict[str, Any] | None = None,
     ) -> None:
-        """Release a request's state *before* its terminal frame is sent.
+        """End the open request: count it, release it, then send ``frame``.
 
-        Finalizes the flight-recorder record and frees the request id, so a
-        client reacting to ``done``/``busy``/``timeout``/``cancelled`` can
-        reuse the id at once and a late ``cancel`` finds nothing in flight.
-        Idempotent: the handler's ``finally`` calls it again, and the id is
-        freed only while it still belongs to this request's token.
+        Every way an admitted request ends passes through here.  ``outcome``
+        is the terminal frame's type (``done``/``busy``/``timeout``/
+        ``cancelled``), or ``disconnected`` -- the peer is gone, so no frame
+        is sent.  The request is released *before* its terminal frame goes
+        out, so a client reacting to that frame -- resubmitting under the
+        same id, cancelling, dumping the recorder -- finds it settled.
         """
-        self._complete_record(daemon, terminal)
-        daemon.unregister_request(request_id, token)
+        record = self._record
+        if outcome == "done":
+            warm = frame["misses"] == 0
+            counter = (
+                telemetry.DAEMON_REQUESTS_WARM if warm else telemetry.DAEMON_REQUESTS_COLD
+            )
+            if record is not None:
+                record.warm = warm
+                record.hits = frame["hits"]
+                record.misses = frame["misses"]
+                record.memory_hits = frame["memory_hits"]
+        else:
+            counter = _OUTCOME_COUNTERS[outcome]
+        telemetry.registry().counter(counter).inc()
+        if record is not None:
+            record.outcome = outcome
+        self._release(daemon, None if frame is None else outcome)
+        if frame is not None:
+            request_id, _ = self._request
+            self._send(
+                {
+                    "type": outcome,
+                    **frame,
+                    "request_id": request_id,
+                    "trace_id": telemetry.current_trace_id(),
+                }
+            )
 
-    def _complete_record(self, daemon: "ExperimentDaemon", terminal: str | None) -> None:
-        """Finalize the open request record into the flight recorder.
+    def _release(self, daemon: "ExperimentDaemon", terminal: str | None = None) -> None:
+        """Finalize the flight-recorder record and free the request id.
 
         Captures the counter deltas this request incurred, pre-counts the
-        terminal frame (``terminal``) that is about to be sent, and detaches
-        the record from the handler so :meth:`_send` stops tallying into it.
-        Runs *before* the terminal frame so the ring already holds the
-        record when the client observes the request finish; the caller's
-        ``finally`` re-invokes it harmlessly (no open record -> no-op, and
-        :meth:`FlightRecorder.complete` is idempotent besides).
+        ``terminal`` frame that is about to be sent, and detaches the record
+        from the handler so :meth:`_send` stops tallying into it -- so the
+        ring already holds the record when the client sees the request
+        finish.  Idempotent: the handler's ``finally`` calls it again (no
+        open record -> nothing to complete), and the id is freed only while
+        it still belongs to this request's token.
         """
         record, self._record = self._record, None
-        if record is None:
-            return
-        reg = telemetry.registry()
-        retries0, faults0, rebuilds0 = self._record_base
-        record.retries = reg.counter(telemetry.ENGINE_JOB_RETRIES).value - retries0
-        record.faults = reg.counter(telemetry.FAULTS_INJECTED).value - faults0
-        record.rebuilds = daemon.supervisor.rebuilds - rebuilds0
-        if terminal is not None:
-            record.count_frame(terminal)
-        daemon.recorder.complete(record)
-
-    def _settle_cancelled(
-        self,
-        reg,
-        daemon: "ExperimentDaemon",
-        request_id: str,
-        token: CancelToken,
-        *,
-        phase: str,
-        trace_id: str | None = None,
-    ) -> None:
-        """Send the structured frame matching why this request was aborted."""
-        reason = token.reason or "cancelled"
-        if self._record is not None:
-            self._record.outcome = reason
-        if reason == "timeout":
-            reg.counter(telemetry.DAEMON_REQUESTS_TIMEOUT).inc()
-            self._release(daemon, request_id, token, "timeout")
-            self._send(
-                {
-                    "type": "timeout",
-                    "request_id": request_id,
-                    "trace_id": trace_id,
-                    "phase": phase,
-                    "message": f"request deadline passed while {phase}",
-                }
-            )
-        elif reason == "disconnected":
-            reg.counter(telemetry.DAEMON_DISCONNECTS).inc()
-            self._release(daemon, request_id, token, None)  # the peer is gone; no frame
-        else:
-            reg.counter(telemetry.DAEMON_REQUESTS_CANCELLED).inc()
-            self._release(daemon, request_id, token, "cancelled")
-            self._send(
-                {
-                    "type": "cancelled",
-                    "request_id": request_id,
-                    "trace_id": trace_id,
-                    "phase": phase,
-                }
-            )
+        if record is not None:
+            reg = telemetry.registry()
+            retries0, faults0, rebuilds0 = self._record_base
+            record.retries = reg.counter(telemetry.ENGINE_JOB_RETRIES).value - retries0
+            record.faults = reg.counter(telemetry.FAULTS_INJECTED).value - faults0
+            record.rebuilds = daemon.supervisor.rebuilds - rebuilds0
+            if terminal is not None:
+                record.count_frame(terminal)
+            daemon.recorder.complete(record)
+        daemon.unregister_request(*self._request)
 
     def _send(self, message: dict[str, Any]) -> None:
         daemon: ExperimentDaemon = self.server.daemon  # type: ignore[attr-defined]
@@ -772,13 +735,6 @@ class _Handler(socketserver.StreamRequestHandler):
         self._frames_sent += 1
         if self._record is not None:
             self._record.count_frame(str(message.get("type")))
-
-    def _check_shard_size(self, request: dict[str, Any]) -> bool:
-        shard_size = request.get("shard_size")
-        if shard_size is not None and (not isinstance(shard_size, int) or shard_size <= 0):
-            self._send({"type": "error", "message": "shard_size must be a positive int"})
-            return False
-        return True
 
     def _check_code_version(
         self, daemon: "ExperimentDaemon", request: dict[str, Any]
@@ -805,85 +761,35 @@ class _Handler(socketserver.StreamRequestHandler):
             return False
         return True
 
-    def _prepare_submit(
-        self, daemon: "ExperimentDaemon", request: dict[str, Any]
-    ) -> list[ExperimentJob] | None:
-        """Validate a submit request into its root jobs (``None`` = refused,
-        an error/stale frame already went out).  Validation happens *before*
-        queue admission so malformed requests never occupy a slot."""
-        from repro.experiments.registry import EXPERIMENT_IDS
-
-        experiments = request.get("experiments") or []
-        unknown = [eid for eid in experiments if eid not in EXPERIMENT_IDS]
-        if not experiments or unknown:
-            self._refuse(
-                daemon,
-                f"unknown experiment(s): {', '.join(unknown)}"
-                if unknown
-                else "submit requires a non-empty experiments list",
-            )
-            return None
-        if not self._check_shard_size(request):
-            return None
-        if not self._check_code_version(daemon, request):
-            return None
-        quick = bool(request.get("quick", True))
-        return [ExperimentJob(eid, quick=quick) for eid in experiments]
-
-    def _prepare_fleet(
-        self, daemon: "ExperimentDaemon", request: dict[str, Any]
-    ) -> list[Any] | None:
-        """Validate a fleet request into its single traffic job (``None`` =
-        refused)."""
-        from repro.engine.jobs import FleetTrafficJob
-
-        config = request.get("job")
-        if not isinstance(config, dict):
-            self._refuse(daemon, "fleet requires a job config object")
-            return None
-        if not self._check_shard_size(request):
-            return None
-        if not self._check_code_version(daemon, request):
-            return None
-        try:
-            job = FleetTrafficJob(**config)
-        except (TypeError, ValueError) as error:
-            self._refuse(daemon, f"bad fleet job config: {error}")
-            return None
-        return [job]
-
     def _run_work(
         self,
         daemon: "ExperimentDaemon",
         request: dict[str, Any],
-        op: str,
-        jobs: list[Any],
+        jobs: list[Job],
         token: CancelToken,
     ) -> dict[str, Any] | None:
         """Stream one admitted request's events; returns the unsent ``done``
-        frame, or ``None`` when the request was cancelled mid-stream (the
-        caller settles it from the token).
+        frame's fields, or ``None`` when the request was cancelled
+        mid-stream (the caller settles it from the token).
 
         A failed frame send marks the client gone and cancels the token, but
         the event stream is still drained to completion silently: in-flight
         shards land in the cache (a reconnecting client gets them warm) and
         queued shards are cancelled by the engine's drain contract.
 
-        For fleet requests the done frame carries this request's per-auth
-        latency histogram -- the delta of the daemon registry's
-        ``fleet_auth_request_seconds`` across the run (exact bucket
-        arithmetic; like ``memory_hits`` it is only attributable to one
-        request while requests do not overlap).
+        ``hits``/``misses`` come from this request's own events, so they are
+        exact even under concurrent requests.  ``memory_hits`` and
+        ``latency`` -- the delta of the registry's
+        ``fleet_auth_request_seconds`` histogram across the run, exact
+        bucket arithmetic -- are global deltas, attributable to one request
+        only while requests do not overlap.
         """
-        reg = telemetry.registry()
         record = self._record
         trace_id = telemetry.current_trace_id()
         roots = {id(job) for job in jobs}
         memory0 = daemon.cache.memory_hits
-        auth_latency = before = None
-        if op == "fleet":
-            auth_latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS)
-            before = telemetry.Histogram.from_dict(auth_latency.to_dict())
+        auth_latency = telemetry.registry().histogram(telemetry.FLEET_AUTH_SECONDS)
+        before = telemetry.Histogram.from_dict(auth_latency.to_dict())
         start = time.perf_counter()
         served = computed = 0
         client_gone = False
@@ -893,7 +799,7 @@ class _Handler(socketserver.StreamRequestHandler):
             workers=daemon.workers,
             cache=daemon.cache,
             fail_fast=bool(request.get("fail_fast", True)),
-            ordered=bool(request.get("ordered", False)) if op == "submit" else False,
+            ordered=bool(request.get("ordered", False)),
             pool=daemon.supervisor,
             cancel=token,
         ):
@@ -929,19 +835,67 @@ class _Handler(socketserver.StreamRequestHandler):
                 token.cancel("disconnected")
         if client_gone or token.cancelled:
             return None
-        # hits/misses are derived from this request's own events (exact even
-        # under concurrent submits); memory_hits is a global-counter delta and
-        # therefore only attributable when requests do not overlap.
-        done = {
-            "type": "done",
+        return {
             "hits": served,
             "misses": computed,
             "memory_hits": daemon.cache.memory_hits - memory0,
+            "elapsed_s": round(time.perf_counter() - start, 6),
+            "latency": auth_latency.subtract(before).to_dict(),
         }
-        if op == "fleet":
-            done["elapsed_s"] = round(time.perf_counter() - start, 6)
-            done["latency"] = auth_latency.subtract(before).to_dict()
-        return done
+
+
+def _root_jobs(request: dict[str, Any]) -> list[Job]:
+    """Validate a ``submit`` request and rebuild its root jobs.
+
+    Raises :class:`ValueError` carrying the refusal message.  Each spec's
+    ``config`` may hold only fields of the rebuilt job's cache identity
+    (``job.config``; omitted fields take the job's defaults): a field
+    outside it -- ``FleetTrafficJob.warm_golden``, say -- could change what
+    the job computes without changing the key its value is cached under.
+    """
+    from repro.experiments.registry import EXPERIMENT_IDS
+
+    shard_size = request.get("shard_size")
+    if shard_size is not None and (not isinstance(shard_size, int) or shard_size <= 0):
+        raise ValueError("shard_size must be a positive int")
+    timeout_s = request.get("timeout_s")
+    if timeout_s is not None and (
+        not isinstance(timeout_s, (int, float)) or timeout_s <= 0
+    ):
+        raise ValueError("timeout_s must be a positive number")
+    specs = request.get("jobs")
+    if not isinstance(specs, list) or not specs:
+        raise ValueError("submit requires a non-empty jobs list")
+    jobs = []
+    for spec in specs:
+        kind, config = (
+            (spec.get("kind"), spec.get("config")) if isinstance(spec, dict) else (None, None)
+        )
+        factory = ROOT_JOBS.get(kind) if isinstance(kind, str) else None
+        if factory is None:
+            raise ValueError(
+                f"unknown job kind {kind!r}; a submit names {', '.join(ROOT_JOBS)} jobs"
+            )
+        if not isinstance(config, dict):
+            raise ValueError(f"{kind} job config must be an object, got {config!r}")
+        try:
+            job = factory(**config)
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"bad {kind} job config: {error}") from None
+        if not config.items() <= job.config.items():
+            raise ValueError(
+                f"{kind} job config holds fields outside its cache identity "
+                f"{sorted(job.config)}"
+            )
+        jobs.append(job)
+    unknown = [
+        job.experiment_id
+        for job in jobs
+        if job.kind == "experiment" and job.experiment_id not in EXPERIMENT_IDS
+    ]
+    if unknown:
+        raise ValueError(f"unknown experiment(s): {', '.join(unknown)}")
+    return jobs
 
 
 if hasattr(socketserver, "ThreadingUnixStreamServer"):
@@ -1010,11 +964,6 @@ class ExperimentDaemon:
         self.trace_path = Path(trace) if trace else None
         if self.trace_path is not None:
             telemetry.enable_tracing(telemetry.TraceWriter(self.trace_path))
-
-    @property
-    def pool(self) -> PoolSupervisor:
-        """The work pool (supervisor-wrapped; kept for API compatibility)."""
-        return self.supervisor
 
     def count_request(self) -> None:
         with self._counters_lock:
@@ -1136,11 +1085,15 @@ class ExperimentDaemon:
 class DaemonClient:
     """Client side of the daemon protocol.
 
-    ``timeout`` bounds every read on an established stream (a wedged daemon
-    cannot hang the client forever); ``connect_timeout`` bounds the initial
-    connect separately so liveness probes stay fast.  One-shot requests can
-    opt into jittered retry-backoff on transient errors (refused accepts,
-    truncated responses) via ``retries``.
+    Every exchange reads its replies through one connect-send-read
+    generator (:meth:`_frames`).  :meth:`work` submits root job specs;
+    :meth:`submit` (experiment ids) and :meth:`fleet` (one fleet traffic
+    job config) are thin wrappers over it.  ``timeout`` bounds every read on
+    an established stream (a wedged daemon cannot hang the client forever);
+    ``connect_timeout`` bounds the initial connect separately so liveness
+    probes stay fast.  One-shot requests can opt into jittered retry-backoff
+    on transient errors (refused accepts, truncated responses) via
+    ``retries``.
     """
 
     def __init__(
@@ -1166,6 +1119,22 @@ class DaemonClient:
         sock.settimeout(self.timeout)
         return sock
 
+    def _frames(self, message: dict[str, Any]) -> Iterator[dict[str, Any]]:
+        """Send ``message``; yield each reply frame until the daemon closes.
+
+        The connection closes when the daemon ends the stream or the caller
+        stops consuming (closing the generator); a connection that fails
+        mid-exchange (say, a daemon shutting down) raises
+        :class:`DaemonError`.
+        """
+        try:
+            with self._connect() as sock, sock.makefile("rwb") as stream:
+                send_frame(stream, {"v": PROTOCOL_VERSION, **message})
+                while (frame := recv_frame(stream)) is not None:
+                    yield frame
+        except OSError as error:
+            raise DaemonError(f"daemon connection failed: {error}") from None
+
     def request(
         self,
         message: dict[str, Any],
@@ -1183,51 +1152,20 @@ class DaemonClient:
         attempt = 0
         while True:
             try:
-                return self._request_once(message)
+                response = next(self._frames(message), None)
+                if response is None:
+                    raise DaemonError("daemon closed the connection without responding")
+                return response
             except DaemonError:
                 if attempt >= retries:
                     raise
                 time.sleep(random.uniform(0, backoff_s * (2 ** attempt)))
                 attempt += 1
 
-    def _request_once(self, message: dict[str, Any]) -> dict[str, Any]:
-        try:
-            with self._connect() as sock, sock.makefile("rwb") as stream:
-                send_frame(stream, {"v": PROTOCOL_VERSION, **message})
-                response = recv_frame(stream)
-        except OSError as error:
-            # e.g. the daemon tore the connection down mid-exchange (shutdown)
-            raise DaemonError(f"daemon connection failed: {error}") from None
-        if response is None:
-            raise DaemonError("daemon closed the connection without responding")
-        return response
-
-    def _stream(self, request: dict[str, Any]) -> Iterator[dict[str, Any]]:
-        """Send one work request and yield frames through the terminal one.
-
-        Terminal frames: ``done`` on success, or the structured refusal /
-        abort frames (``error``, ``stale``, ``busy``, ``timeout``,
-        ``cancelled``).  A stream that ends without one raises
-        :class:`DaemonError` -- the daemon died or dropped the connection.
-        """
-        try:
-            with self._connect() as sock, sock.makefile("rwb") as stream:
-                send_frame(stream, request)
-                while True:
-                    frame = recv_frame(stream)
-                    if frame is None:
-                        raise DaemonError("daemon stream ended before the done frame")
-                    yield frame
-                    if frame.get("type") in TERMINAL_FRAME_TYPES:
-                        return
-        except OSError as error:
-            raise DaemonError(f"daemon connection failed: {error}") from None
-
-    def submit(
+    def work(
         self,
-        experiments: list[str],
+        jobs: list[dict[str, Any]],
         *,
-        quick: bool = True,
         shard_size: int | None = None,
         ordered: bool = False,
         fail_fast: bool = True,
@@ -1237,7 +1175,16 @@ class DaemonClient:
         trace_id: str | None = None,
         parent_span: str | None = None,
     ) -> Iterator[dict[str, Any]]:
-        """Submit experiments; yield ``event`` frames then the ``done`` frame.
+        """Submit root job specs; yield the reply frames through the terminal one.
+
+        Each spec is ``{"kind": job.kind, "config": job.config}`` for an
+        ``experiment`` or ``fleet-traffic`` job.  The daemon answers with an
+        ``accepted`` frame, one ``event`` frame per engine event, then
+        ``done`` (``hits``, ``misses``, ``memory_hits``, ``elapsed_s``, and
+        the request's auth-latency histogram ``latency``) -- or a refusal or
+        abort (``error``, ``stale``, ``busy``, ``timeout``, ``cancelled``).  A
+        stream that ends without a terminal frame raises
+        :class:`DaemonError`: the daemon died or dropped the connection.
 
         Pass the client's :func:`~repro.engine.cache.source_fingerprint` as
         ``code_version`` to be refused (a single ``stale`` frame) when the
@@ -1250,52 +1197,35 @@ class DaemonClient:
         daemon + worker spans join the client's tree (the daemon mints a
         trace id itself otherwise; frames echo it either way).
         """
-        return self._stream(
-            {
-                "v": PROTOCOL_VERSION,
-                "op": "submit",
-                "experiments": list(experiments),
-                "quick": quick,
-                "shard_size": shard_size,
-                "ordered": ordered,
-                "fail_fast": fail_fast,
-                "code_version": code_version,
-                "timeout_s": timeout_s,
-                "request_id": request_id,
-                "trace_id": trace_id,
-                "parent_span": parent_span,
-            }
-        )
+        request = {
+            "op": "submit",
+            "jobs": list(jobs),
+            "shard_size": shard_size,
+            "ordered": ordered,
+            "fail_fast": fail_fast,
+            "code_version": code_version,
+            "timeout_s": timeout_s,
+            "request_id": request_id,
+            "trace_id": trace_id,
+            "parent_span": parent_span,
+        }
+        for frame in self._frames(request):
+            yield frame
+            if frame.get("type") in TERMINAL_FRAME_TYPES:
+                return
+        raise DaemonError("daemon stream ended before the done frame")
 
-    def fleet(
-        self,
-        job_config: dict[str, Any],
-        *,
-        shard_size: int | None = None,
-        code_version: str | None = None,
-        timeout_s: float | None = None,
-        request_id: str | None = None,
-        trace_id: str | None = None,
-        parent_span: str | None = None,
+    def submit(
+        self, experiments: list[str], *, quick: bool = True, **options: Any
     ) -> Iterator[dict[str, Any]]:
-        """Submit one fleet traffic job config; yield ``event`` frames then
-        the ``done`` frame (which carries the request's auth-latency
-        histogram).  Staleness/deadline/cancel/trace-context semantics match
-        :meth:`submit`.
-        """
-        return self._stream(
-            {
-                "v": PROTOCOL_VERSION,
-                "op": "fleet",
-                "job": dict(job_config),
-                "shard_size": shard_size,
-                "code_version": code_version,
-                "timeout_s": timeout_s,
-                "request_id": request_id,
-                "trace_id": trace_id,
-                "parent_span": parent_span,
-            }
-        )
+        """Run registry experiments by id; ``options`` and frames as :meth:`work`."""
+        jobs = [ExperimentJob(eid, quick=quick) for eid in experiments]
+        return self.work([{"kind": job.kind, "config": job.config} for job in jobs], **options)
+
+    def fleet(self, job_config: dict[str, Any], **options: Any) -> Iterator[dict[str, Any]]:
+        """Replay one fleet traffic job config; ``options`` and frames as
+        :meth:`work`."""
+        return self.work([{"kind": FleetTrafficJob.kind, "config": dict(job_config)}], **options)
 
     def cancel(self, request_id: str) -> bool:
         """Cancel an in-flight request by id; ``True`` when one was found."""
@@ -1328,29 +1258,17 @@ class DaemonClient:
     def tail_follow(self, count: int = 10) -> Iterator[dict[str, Any]]:
         """Yield the newest ``count`` records, then each new one as it lands.
 
-        The stream runs until the daemon goes away (``DaemonError``) or the
-        caller stops consuming and closes the generator; ``keepalive``
-        frames from the daemon are filtered out here.
+        The stream runs until the daemon goes away or the caller stops
+        consuming and closes the generator; ``keepalive`` frames from the
+        daemon are filtered out here.
         """
-        try:
-            with self._connect() as sock, sock.makefile("rwb") as stream:
-                send_frame(
-                    stream,
-                    {"v": PROTOCOL_VERSION, "op": "tail", "count": count, "follow": True},
-                )
-                while True:
-                    frame = recv_frame(stream)
-                    if frame is None:
-                        return
-                    if frame.get("type") == "tail":
-                        for record in frame.get("records", []):
-                            yield record
-                    elif frame.get("type") == "record":
-                        yield frame["record"]
-                    elif frame.get("type") == "error":
-                        raise DaemonError(str(frame.get("message")))
-        except OSError as error:
-            raise DaemonError(f"daemon connection failed: {error}") from None
+        for frame in self._frames({"op": "tail", "count": count, "follow": True}):
+            if frame.get("type") == "tail":
+                yield from frame.get("records", [])
+            elif frame.get("type") == "record":
+                yield frame["record"]
+            elif frame.get("type") == "error":
+                raise DaemonError(str(frame.get("message")))
 
     def ping(self) -> dict[str, Any]:
         return self.request({"op": "ping"})

@@ -58,6 +58,7 @@ import json
 import random
 import sys
 import time
+from functools import partial
 
 from repro import telemetry
 from repro.engine import (
@@ -242,10 +243,6 @@ class _EventRenderer:
         return 0
 
 
-def _progress_stats_line(hits: int, misses: int, suffix: str = "") -> str:
-    return f"cache: {CacheStats(hits=hits, misses=misses).summary()}{suffix}"
-
-
 #: Client-side attempts against a saturated daemon (``busy`` frames or a
 #: connection dropped before any output) before degrading to inline
 #: execution.  Patchable in tests to keep retry paths fast.
@@ -258,93 +255,84 @@ def _retry_delay(attempt: int) -> float:
     return _RETRY_BASE_S * (2**attempt) + random.uniform(0.0, 0.05)
 
 
-def _run_via_daemon(args, selected: list[str]) -> int | None:
-    """Route the run through a live daemon; ``None`` means fall back inline.
+class _Collector:
+    """Keeps each root job's value from a daemon stream; writes nothing."""
 
-    Degradation is uniform: a saturated daemon (``busy`` frame) or a
-    connection that drops before any output is retried with jittered
-    backoff and then falls back inline; ``stale``/``timeout``/``cancelled``
-    frames fall back inline at once (nothing reached stdout yet); a daemon
-    that dies *after* producing output is reported as a failure instead of
-    silently recomputing, since fallback is only safe before any output.
+    emitted = False
+
+    def __init__(self) -> None:
+        self.values: dict[str, dict] = {}
+
+    def feed(self, event: dict) -> None:
+        if "value" in event:
+            self.values[event["job"]] = event["value"]
+
+
+def _route(jobs: list, new_sink, *, shard_size: int | None, workers: int):
+    """Serve root ``jobs`` through a live daemon.
+
+    Returns ``(sink, done_frame)``, ``(sink, None)`` when the request failed
+    after ``sink`` had written to stdout (the call must exit 1), or ``None``
+    when the caller must run inline.  ``new_sink()`` builds a fresh event
+    consumer (``feed(event)``, ``emitted``) for every attempt, so a retry
+    repeats no progress line and no failure.
+
+    One rule for every caller: until the sink has written to stdout, a
+    ``busy`` frame or a dropped connection is retried with jittered backoff
+    and then runs inline, and ``stale``/``timeout``/``cancelled``/``error``
+    run inline at once.  Once output exists, inline execution would print
+    it twice, so anything but ``done`` is a failure.
+
+    The invocation's trace context rides along: the daemon adopts this
+    process's ``trace_id`` and parents its ``daemon.request`` span under the
+    client's active span, so a traced daemon-routed request forms one tree
+    across client, daemon, and the daemon's pool workers.
     """
-    client = DaemonClient()
+    try:
+        client = DaemonClient()
+    except DaemonError as error:
+        # e.g. a tampered default socket directory: never trust it, but the
+        # run itself can still proceed inline.
+        print(f"daemon unavailable ({error}); running inline", file=sys.stderr)
+        return None
     if not client.is_running():
         return None
     print(f"daemon: routing via {client.socket_path}", file=sys.stderr)
-    if args.jobs != 1:
+    if workers != 1:
         print(
             f"daemon: worker count is fixed by the daemon's pool; "
-            f"ignoring --jobs {args.jobs}",
+            f"ignoring --jobs {workers}",
             file=sys.stderr,
         )
+    specs = [{"kind": job.kind, "config": job.config} for job in jobs]
     for attempt in range(_RETRY_ATTEMPTS + 1):
-        status, code = _daemon_attempt(client, args, selected)
-        if status == "retry" and attempt < _RETRY_ATTEMPTS:
-            time.sleep(_retry_delay(attempt))
-            continue
-        if status == "retry":
-            print("daemon: retry budget exhausted; running inline", file=sys.stderr)
+        if attempt:
+            time.sleep(_retry_delay(attempt - 1))
+        sink = new_sink()
+        try:
+            for frame in client.work(
+                specs,
+                shard_size=shard_size,
+                code_version=source_fingerprint(),
+                trace_id=telemetry.current_trace_id(),
+                parent_span=telemetry.current_span_id(),
+            ):
+                if frame["type"] == "event":
+                    sink.feed(frame["event"])
+            kind, message = frame["type"], frame.get("message")
+        except DaemonError as error:
+            kind, message = "unreachable", str(error)
+        if kind == "done":
+            return sink, frame
+        if sink.emitted:
+            print(f"daemon {kind}: {message}; output is incomplete", file=sys.stderr)
+            return sink, None
+        if kind not in ("busy", "unreachable"):
+            print(f"daemon {kind}: {message}; running inline", file=sys.stderr)
             return None
-        if status == "inline":
-            return None
-        return code  # "done" or "fatal"
-    return None  # unreachable; the loop always returns
-
-
-def _daemon_attempt(
-    client: DaemonClient, args, selected: list[str]
-) -> tuple[str, int | None]:
-    """One daemon round-trip for :func:`_run_via_daemon`.
-
-    Returns ``(status, exit_code)``: ``("done", code)`` when the stream
-    completed, ``("fatal", 1)`` for failures that must not be recomputed
-    inline, ``("inline", None)`` to fall back, ``("retry", None)`` when
-    another attempt is safe (no output has been produced).
-    """
-    renderer = _EventRenderer(selected, as_json=args.as_json, stream=args.stream)
-    try:
-        for frame in client.submit(
-            selected,
-            quick=not args.full,
-            shard_size=args.shard_size,
-            code_version=source_fingerprint(),
-            trace_id=telemetry.current_trace_id(),
-        ):
-            kind = frame.get("type")
-            if kind == "event":
-                renderer.feed(frame["event"])
-            elif kind == "busy":
-                print(f"daemon busy: {frame.get('message')}", file=sys.stderr)
-                return ("retry", None)
-            elif kind in ("stale", "timeout", "cancelled"):
-                print(
-                    f"daemon: {frame.get('message')}; running inline",
-                    file=sys.stderr,
-                )
-                return ("inline", None)
-            elif kind == "done":
-                code = renderer.finish()
-                if code == 0:
-                    print(
-                        _progress_stats_line(
-                            frame.get("hits", 0),
-                            frame.get("misses", 0),
-                            f", {frame.get('memory_hits', 0)} from memory index (daemon)",
-                        ),
-                        file=sys.stderr,
-                    )
-                return ("done", code)
-            elif kind == "error":
-                print(f"daemon error: {frame.get('message')}", file=sys.stderr)
-                return ("fatal", 1)
-    except DaemonError as error:
-        if renderer.emitted:
-            print(f"daemon stream failed: {error}", file=sys.stderr)
-            return ("fatal", 1)
-        print(f"daemon unreachable ({error}); retrying", file=sys.stderr)
-        return ("retry", None)
-    return ("fatal", 1)  # stream ended without a terminal frame
+        print(f"daemon {kind}: {message}", file=sys.stderr)
+    print("daemon: retry budget exhausted; running inline", file=sys.stderr)
+    return None
 
 
 def _cache_prune_main(argv: list[str]) -> int:
@@ -381,75 +369,6 @@ def _cache_prune_main(argv: list[str]) -> int:
         f"{len(cache)} entrie(s) ({cache.size_bytes() / 1e6:.2f} MB) remain"
     )
     return 0
-
-
-def _fleet_via_daemon(
-    job, shard_size: int | None
-) -> tuple[dict, "telemetry.Histogram"] | None:
-    """Route one fleet job through a live daemon.
-
-    Returns ``(encoded_value, latency_histogram)`` on success, or ``None``
-    when the run must happen inline instead (no daemon, stale daemon, a
-    daemon too old to know the ``fleet`` op, or a stream that died).
-    Falling back is always safe here: nothing reaches stdout until the
-    daemon's ``done`` frame has been fully consumed.
-
-    The invocation's trace context rides along: the daemon adopts this
-    process's ``trace_id`` and parents its ``daemon.request`` span under the
-    client's active span, so a traced daemon-routed request forms one tree
-    across client, daemon, and the daemon's pool workers.
-    """
-    client = DaemonClient()
-    if not client.is_running():
-        return None
-    print(f"daemon: routing via {client.socket_path}", file=sys.stderr)
-    for attempt in range(_RETRY_ATTEMPTS + 1):
-        value: dict | None = None
-        retry = False
-        try:
-            for frame in client.fleet(
-                job.config,
-                shard_size=shard_size,
-                code_version=source_fingerprint(),
-                trace_id=telemetry.current_trace_id(),
-                parent_span=telemetry.current_span_id(),
-            ):
-                kind = frame.get("type")
-                if kind == "event":
-                    if "value" in frame.get("event", {}):
-                        value = frame["event"]["value"]
-                elif kind == "busy":
-                    print(f"daemon busy: {frame.get('message')}", file=sys.stderr)
-                    retry = True
-                    break
-                elif kind in ("stale", "timeout", "cancelled", "error"):
-                    # e.g. a daemon from before the fleet op, or one that shed
-                    # this request; nothing has been printed on stdout yet, so
-                    # inline execution is always safe here.
-                    print(
-                        f"daemon: {frame.get('message')}; running inline",
-                        file=sys.stderr,
-                    )
-                    return None
-                elif kind == "done":
-                    if value is None:
-                        print(
-                            "daemon: stream ended without a result; running inline",
-                            file=sys.stderr,
-                        )
-                        return None
-                    return value, telemetry.Histogram.from_dict(frame["latency"])
-        except DaemonError as error:
-            # The whole stream buffers until ``done``, so a dropped
-            # connection is always retry-safe.
-            print(f"daemon stream failed ({error}); retrying", file=sys.stderr)
-            retry = True
-        if not retry:
-            return None  # stream ended without a terminal frame
-        if attempt < _RETRY_ATTEMPTS:
-            time.sleep(_retry_delay(attempt))
-    print("daemon: retry budget exhausted; running inline", file=sys.stderr)
-    return None
 
 
 def _fleet_main(argv: list[str]) -> int:
@@ -609,22 +528,22 @@ def _fleet_main(argv: list[str]) -> int:
         # runs hand its id to the daemon as parent_span, so the daemon's
         # spans (and its workers') join this tree under one trace id.
         with telemetry.span("fleet.request", kind="fleet", requests=args.requests):
-            # A warm store cannot ride through the daemon protocol (jobs are
-            # rebuilt from their JSON config there), so --warm-store runs
+            # A warm store cannot ride through the daemon protocol (the daemon
+            # accepts only a job's cache identity), so --warm-store runs
             # inline.
             if not args.no_daemon and not args.warm_store:
-                try:
-                    routed = _fleet_via_daemon(job, shard_size)
-                except DaemonError as error:
-                    # e.g. a tampered default socket directory -- never trust
-                    # it, but the run itself still proceeds inline.
-                    print(
-                        f"daemon unavailable ({error}); running inline",
-                        file=sys.stderr,
-                    )
-            if routed is not None:
-                payload, latency = routed
+                routed = _route(
+                    [job], _Collector, shard_size=shard_size, workers=args.jobs
+                )
+            payload = routed and routed[0].values.get(job.job_id)
+            if routed and payload is None:
+                print(
+                    "daemon: stream ended without a result; running inline",
+                    file=sys.stderr,
+                )
+            if payload is not None:
                 value = job.decode(payload)
+                latency = telemetry.Histogram.from_dict(routed[1]["latency"])
             else:
                 reg = telemetry.registry()
                 auth_latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS)
@@ -956,11 +875,14 @@ def _dispatch(argv: list[str] | None) -> int:
         print(f"known experiments: {', '.join(EXPERIMENT_IDS)}", file=sys.stderr)
         return 2
 
+    jobs = [ExperimentJob(experiment_id, quick=not args.full) for experiment_id in selected]
+    new_renderer = partial(
+        _EventRenderer, selected, as_json=args.as_json, stream=args.stream
+    )
     # A live daemon owns its own cache (memory index over its disk store), so
     # only route through it when this invocation does not pin or manage a
     # local cache (--cache-dir/--no-cache/--cache-max-mb stay inline).
     # --trace also stays inline: spans must cover this process and its pool.
-    exit_code: int | None = None
     if (
         not args.no_daemon
         and not args.no_cache
@@ -968,14 +890,20 @@ def _dispatch(argv: list[str] | None) -> int:
         and args.cache_max_mb is None
         and args.trace is None
     ):
-        try:
-            exit_code = _run_via_daemon(args, selected)
-        except DaemonError as error:
-            # e.g. a tampered default socket directory: never trust it, but
-            # the run itself can still proceed inline.
-            print(f"daemon unavailable ({error}); running inline", file=sys.stderr)
-    if exit_code is not None:
-        return exit_code
+        routed = _route(jobs, new_renderer, shard_size=args.shard_size, workers=args.jobs)
+        if routed is not None:
+            renderer, done = routed
+            if done is None:
+                return 1
+            code = renderer.finish()
+            if code == 0:
+                stats = CacheStats(hits=done["hits"], misses=done["misses"])
+                print(
+                    f"cache: {stats.summary()}, {done['memory_hits']} from memory "
+                    f"index (daemon)",
+                    file=sys.stderr,
+                )
+            return code
 
     trace_writer: telemetry.TraceWriter | None = None
     was_collecting = telemetry.collection_enabled()
@@ -992,9 +920,8 @@ def _dispatch(argv: list[str] | None) -> int:
                 print(f"unusable cache directory: {error}", file=sys.stderr)
                 return 2
 
-        jobs = [ExperimentJob(experiment_id, quick=not args.full) for experiment_id in selected]
         roots = {id(job) for job in jobs}
-        renderer = _EventRenderer(selected, as_json=args.as_json, stream=args.stream)
+        renderer = new_renderer()
         with telemetry.span("cli.run", kind="cli", experiments=list(selected)):
             for event in iter_sharded(
                 jobs,

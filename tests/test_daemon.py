@@ -226,6 +226,18 @@ class TestDaemonServer:
         assert [frame["type"] for frame in frames] == ["stale"]
         assert "restart" in frames[0]["message"]
 
+    def test_stale_is_answered_before_validation(self, daemon):
+        # A client built from other sources may know ids this daemon does
+        # not: it must hear "stale" (and run inline), not a refusal.
+        frames = list(daemon.submit(["table1-new"], code_version="edited"))
+        assert [frame["type"] for frame in frames] == ["stale"]
+
+    def test_unknown_job_kind_is_refused_before_admission(self, daemon):
+        frames = list(daemon.work([{"kind": "montecarlo-point", "config": {}}]))
+        assert [frame["type"] for frame in frames] == ["error"]
+        assert "unknown job kind 'montecarlo-point'" in frames[0]["message"]
+        assert daemon.status()["active_requests"] == 0
+
     def test_submit_with_matching_code_version_runs(self, daemon):
         from repro.engine import source_fingerprint
 
@@ -407,13 +419,53 @@ class TestDaemonTelemetry:
         job = FleetTrafficJob(**config)
         assert job.decode(payload) == job.run()
 
+    def test_one_submit_mixes_experiment_and_fleet_jobs(self, daemon):
+        from repro.engine import FleetTrafficJob
+
+        fleet_job = FleetTrafficJob(**dict(FLEET_CONFIG, fleet_seed=97))
+        frames = list(
+            daemon.work(
+                [
+                    {"kind": "experiment", "config": ExperimentJob("table1").config},
+                    {"kind": fleet_job.kind, "config": fleet_job.config},
+                ]
+            )
+        )
+        done = frames[-1]
+        assert done["type"] == "done"
+        values = {
+            frame["event"]["job"]: frame["event"]["value"]
+            for frame in frames
+            if frame["type"] == "event" and "value" in frame["event"]
+        }
+        assert set(values) == {"table1", fleet_job.job_id}
+        assert values["table1"]["experiment_id"] == "table1"
+        assert fleet_job.decode(values[fleet_job.job_id]) == fleet_job.run()
+        assert telemetry.Histogram.from_dict(done["latency"]).count == fleet_job.requests
+
+    def test_config_outside_the_cache_identity_is_refused(self, daemon, tmp_path):
+        # warm_golden is an execution hint that is not part of the cache
+        # key: accepted from the wire, bogus goldens would be served (and
+        # cached) as the result of the clean configuration.
+        bogus = dict(FLEET_CONFIG, warm_golden={"counts": [0], "slots": [[1, 2]]})
+        frames = list(daemon.fleet(bogus))
+        assert [frame["type"] for frame in frames] == ["error"]
+        assert "outside its cache identity" in frames[0]["message"]
+        status = daemon.status()
+        assert status["active_requests"] == 0 and status["index_entries"] == 0
+        assert len(ResultCache(tmp_path / "cache")) == 0
+        clean = list(daemon.fleet(FLEET_CONFIG))
+        assert clean[-1]["type"] == "done" and clean[-1]["misses"] >= 1
+
     def test_fleet_op_rejects_bad_config(self, daemon):
         frames = list(daemon.fleet({"no_such_field": 1}))
         assert frames[-1]["type"] == "error"
-        assert "bad fleet job config" in frames[-1]["message"]
+        assert "bad fleet-traffic job config" in frames[-1]["message"]
 
     def test_fleet_op_requires_a_config_object(self, daemon):
-        response = daemon.request({"op": "fleet", "job": 5})
+        response = daemon.request(
+            {"op": "submit", "jobs": [{"kind": "fleet-traffic", "config": 5}]}
+        )
         assert response["type"] == "error"
         assert "job config" in response["message"]
 
@@ -686,8 +738,8 @@ class TestAdmissionControl:
                 stream,
                 {
                     "v": PROTOCOL_VERSION,
-                    "op": "fleet",
-                    "job": dict(HOLD_FLEET),
+                    "op": "submit",
+                    "jobs": [{"kind": "fleet-traffic", "config": dict(HOLD_FLEET)}],
                     "shard_size": 2,
                 },
             )
@@ -995,6 +1047,103 @@ class TestCLIBusyRetry:
         assert holder[-1]["type"] == "done"
 
 
+class _ScriptedClient:
+    """Stands in for :class:`DaemonClient`: each ``work`` call replays the
+    next scripted attempt; an exception in a script is raised at that point,
+    as a dropped connection raises :class:`DaemonError`."""
+
+    socket_path = "scripted.sock"
+
+    def __init__(self, attempts):
+        self.attempts = list(attempts)
+
+    def is_running(self):
+        return True
+
+    def work(self, specs, **options):
+        for frame in self.attempts.pop(0):
+            if isinstance(frame, Exception):
+                raise frame
+            yield frame
+
+
+class TestRoutingRule:
+    """How the CLI reacts to each daemon frame, before and after output.
+
+    A scripted client stands in for the daemon, so no daemon runs and no
+    retry sleeps.
+    """
+
+    ACCEPTED = {"type": "accepted", "request_id": "req-1", "trace_id": "t-1"}
+    DONE = {"type": "done", "hits": 0, "misses": 1, "memory_hits": 0}
+
+    @pytest.fixture
+    def route(self, monkeypatch, tmp_path):
+        """Install scripted attempts; returns table1's event frames."""
+        from repro.engine import iter_sharded
+        from repro.experiments import __main__ as cli
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "inline-cache"))
+        monkeypatch.setattr(cli, "_retry_delay", lambda attempt: 0.0)
+        events = [
+            {"type": "event", "event": event.to_dict(include_value=event.terminal)}
+            for event in iter_sharded([ExperimentJob("table1")], workers=1)
+        ]
+
+        def install(*attempts):
+            client = _ScriptedClient(attempts)
+            monkeypatch.setattr(cli, "DaemonClient", lambda: client)
+            return client
+
+        return events, install
+
+    @staticmethod
+    def _table(events):
+        from repro.experiments.base import ExperimentResult
+
+        value = events[-1]["event"]["value"]
+        return value, ExperimentResult.from_dict(value).render() + "\n"
+
+    def test_error_before_output_runs_inline(self, route, capsys):
+        events, install = route
+        install([self.ACCEPTED, {"type": "error", "message": "unknown experiment(s): table1"}])
+        assert main(["table1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == self._table(events)[1]
+        assert "daemon error: unknown experiment(s): table1; running inline" in captured.err
+
+    def test_cancelled_after_output_fails_without_rerunning(self, route, capsys):
+        events, install = route
+        cancelled = {"type": "cancelled", "phase": "running",
+                     "message": "request cancelled while running"}
+        install([self.ACCEPTED, *events, cancelled])
+        assert main(["table1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == self._table(events)[1]  # printed once
+        assert "daemon cancelled: request cancelled while running" in captured.err
+        assert "running inline" not in captured.err
+
+    def test_retried_attempts_start_from_a_fresh_renderer(self, route, capsys):
+        events, install = route
+        finished = events[-1]["event"]
+        failed = {key: value for key, value in finished.items() if key != "value"}
+        failed.update(event="failed", error="Traceback: boom")
+        client = install(
+            [self.ACCEPTED, {"type": "event", "event": failed}, DaemonError("gone")],
+            [self.ACCEPTED, {"type": "busy", "message": "daemon at capacity"}],
+            [self.ACCEPTED, *events, self.DONE],
+        )
+        assert main(["table1", "--json"]) == 0
+        captured = capsys.readouterr()
+        value, _ = self._table(events)
+        assert captured.out == json.dumps({"table1": value}, indent=2) + "\n"
+        assert captured.err.count("table1  FAILED") == 1
+        assert "job(s) failed" not in captured.err
+        assert "daemon unreachable: gone" in captured.err
+        assert "daemon busy: daemon at capacity" in captured.err
+        assert client.attempts == []
+
+
 class TestFlightRecorderOps:
     """The dump/tail ops and the recorder surface in status."""
 
@@ -1025,6 +1174,11 @@ class TestFlightRecorderOps:
         assert warm["memory_hits"] >= 1
 
     def test_refused_request_lands_in_the_error_audit(self, daemon):
+        frames = list(daemon.submit(["table1"], shard_size=0))
+        assert [frame["type"] for frame in frames] == ["error"]
+        last = daemon.status()["recorder"]["last_error"]
+        assert last is not None and last["type"] == "bad_request"
+        assert "shard_size" in last["message"]
         frames = list(daemon.submit(["nope"]))
         assert frames[-1]["type"] == "error"
         # Refused at validation, before a request id exists: no ring record,
@@ -1240,7 +1394,7 @@ class TestEndToEndTraceTree:
             dump_out = capsys.readouterr().out
             records = [json.loads(line) for line in dump_out.splitlines()]
             (record,) = [r for r in records if r["trace_id"] == trace_id]
-            assert record["op"] == "fleet"
+            assert record["op"] == "submit"
             assert record["outcome"] == "done"
             assert record["jobs"] >= 1
         finally:

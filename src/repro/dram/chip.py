@@ -5,8 +5,14 @@ paper characterizes with SoftMC.  It provides:
 
 * **data storage** at row granularity (sparse: only written rows are
   materialized),
-* **per-cell process variation**, generated lazily and deterministically from
-  the chip's seed, giving each chip a stable but unique population of
+* **per-chip and per-cell process variation**, generated lazily and
+  deterministically from the chip's seed.  The per-chip part (the
+  signature-cell and readable fractions, the reduced-tRP failing columns) is
+  drawn on first read and then kept for the chip's lifetime: it is part of
+  the chip's identity, not a memo, so :meth:`DRAMChip.reset_profile_memos`
+  never drops it.  Building a chip draws nothing, which keeps a large fleet
+  of short-lived devices cheap.  The per-cell part gives each chip a stable
+  but unique population of
 
   - *signature cells* (the minority of cells that CODIC-sig amplifies to '1'),
   - *reduced-tRCD failure cells* (exploited by the DRAM Latency PUF),
@@ -29,6 +35,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -104,6 +111,20 @@ VENDOR_PROFILES: dict[str, VendorProfile] = {
         readable_fraction_range=(0.45, 0.97),
     ),
 }
+
+
+@lru_cache(maxsize=None)
+def _vendor_rp_columns(vendor_name: str, n_columns: int, n_vendor: int) -> np.ndarray:
+    """The reduced-tRP failing columns common to every chip of a vendor.
+
+    A pure function of its arguments, drawn once per process and shared
+    read-only by every chip of that vendor and row width (so the cache
+    holds one small array per vendor and row width in use).
+    """
+    vendor_rng = make_rng(0xC0D1C, "rp-vendor-columns", vendor_name)
+    columns = vendor_rng.choice(n_columns, size=n_vendor, replace=False)
+    columns.setflags(write=False)
+    return columns
 
 
 class _ProfileMemo:
@@ -184,30 +205,10 @@ class DRAMChip:
     refresh_enabled: bool = True
 
     def __post_init__(self) -> None:
-        profile_rng = make_rng(self.seed, "chip-profile", self.chip_id)
-        low, high = self.vendor.sig_weak_fraction_range
-        self.sig_weak_fraction = float(profile_rng.uniform(low, high))
-        low, high = self.vendor.readable_fraction_range
-        self.readable_fraction = float(profile_rng.uniform(low, high))
         # DDR3L (1.35 V) devices showed slightly more stable CODIC-sig
         # responses than DDR3 (1.50 V) devices in the paper's evaluation.
         voltage_bonus = 0.0012 if self.voltage <= 1.40 else 0.0
         self.sig_stability = min(0.99995, self.vendor.sig_stability + voltage_bonus)
-        #: Column failure propensity under reduced tRP.  Part of the failing
-        #: columns is common to the vendor's design (the same sense-amplifier
-        #: layout is reused across every chip of a part number) and part is
-        #: chip-specific; both are shared by all rows of a chip, because the
-        #: same physical sense amplifiers serve every row of a subarray.
-        n_columns = self.geometry.row_bits
-        n_fail = max(1, int(round(self.vendor.rp_column_failure_fraction * n_columns)))
-        n_vendor = int(round(n_fail * self.vendor.rp_vendor_common_fraction))
-        vendor_rng = make_rng(0xC0D1C, "rp-vendor-columns", self.vendor.name)
-        vendor_columns = vendor_rng.choice(n_columns, size=n_vendor, replace=False)
-        column_rng = make_rng(self.seed, "rp-columns", self.chip_id)
-        chip_columns = column_rng.choice(
-            n_columns, size=max(0, n_fail - n_vendor), replace=False
-        )
-        self._rp_failing_columns = np.union1d(vendor_columns, chip_columns).astype(np.int64)
         #: Pre-derived root seed of every per-row stream (saves one SHA-256
         #: per ``_row_rng`` call on the PUF hot path).
         self._row_seed = derive_seed(self.seed, "chip", self.chip_id)
@@ -230,12 +231,63 @@ class DRAMChip:
         self._rcd_profile_cache = _ProfileMemo()
         self._rp_profile_cache = _ProfileMemo()
 
+    # ------------------------------------------------------------------
+    # Per-chip variation, derived on first read
+    # ------------------------------------------------------------------
+    # Each value is drawn from the same seed-addressed stream whatever
+    # attribute is read first, and then lives in the instance ``__dict__``,
+    # where a read costs what a plain attribute read costs.
+    def _draw_fractions(self) -> tuple[float, float]:
+        """Both ``chip-profile`` draws, in stream order, stored together."""
+        profile_rng = make_rng(self.seed, "chip-profile", self.chip_id)
+        low, high = self.vendor.sig_weak_fraction_range
+        sig_weak_fraction = float(profile_rng.uniform(low, high))
+        low, high = self.vendor.readable_fraction_range
+        readable_fraction = float(profile_rng.uniform(low, high))
+        self.__dict__.update(
+            sig_weak_fraction=sig_weak_fraction, readable_fraction=readable_fraction
+        )
+        return sig_weak_fraction, readable_fraction
+
+    @cached_property
+    def sig_weak_fraction(self) -> float:
+        """Fraction of this chip's cells that are CODIC-sig minority cells."""
+        return self._draw_fractions()[0]
+
+    @cached_property
+    def readable_fraction(self) -> float:
+        """Fraction of cells testable within the 48 h retention window."""
+        return self._draw_fractions()[1]
+
+    @cached_property
+    def _rp_failing_columns(self) -> np.ndarray:
+        """Columns whose sense amplifiers fail under reduced tRP.
+
+        Part of the failing columns is common to the vendor's design (the
+        same sense-amplifier layout is reused across every chip of a part
+        number) and part is chip-specific; both are shared by all rows of a
+        chip, because the same physical sense amplifiers serve every row of
+        a subarray.
+        """
+        n_columns = self.geometry.row_bits
+        n_fail = max(1, int(round(self.vendor.rp_column_failure_fraction * n_columns)))
+        n_vendor = int(round(n_fail * self.vendor.rp_vendor_common_fraction))
+        column_rng = make_rng(self.seed, "rp-columns", self.chip_id)
+        chip_columns = column_rng.choice(
+            n_columns, size=max(0, n_fail - n_vendor), replace=False
+        )
+        vendor_columns = _vendor_rp_columns(self.vendor.name, n_columns, n_vendor)
+        return np.union1d(vendor_columns, chip_columns).astype(np.int64)
+
     def reset_profile_memos(self) -> None:
         """Drop the deterministic per-row memos (weak cells, failure profiles).
 
         Purely a memory/benchmarking control: the memos cache pure functions
         of (chip seed, address, timing), so clearing them never changes any
-        response value -- it only restores cold-cache timing behaviour.
+        response value -- it only restores cold-cache timing behaviour.  The
+        per-chip variation derived on first read (``sig_weak_fraction``,
+        ``readable_fraction``, the reduced-tRP failing columns) is not a memo
+        but part of the chip's identity, and is never reset.
         """
         self._sig_weak_cache.clear()
         self._rcd_profile_cache.clear()

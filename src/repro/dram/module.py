@@ -89,7 +89,8 @@ class DRAMModule:
 
         Responses are unchanged (the memos hold pure functions of seed,
         address and timing); used by cold-path benchmarks and memory-pressure
-        escape hatches.
+        escape hatches.  Each chip's per-chip variation is not a memo and
+        stays (see :meth:`DRAMChip.reset_profile_memos`).
         """
         self._segment_profile_cache.clear()
         for chip in self.chips:

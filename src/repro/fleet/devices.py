@@ -165,6 +165,7 @@ class DeviceFleet:
         self.config = config
         self.max_cached_devices = max_cached_devices
         self._tree = StreamTree(config.seed).child("fleet")
+        self._geometry = config.geometry()
         self._devices: "OrderedDict[int, FleetDevice]" = OrderedDict()
         self._challenges: "OrderedDict[tuple[int, int], Challenge]" = OrderedDict()
 
@@ -198,7 +199,7 @@ class DeviceFleet:
         config = self.config
         module = DRAMModule(
             module_id=f"D{device_id}",
-            chip_geometry=config.geometry(),
+            chip_geometry=self._geometry,
             chips_per_rank=config.chips_per_device,
             ranks=1,
             vendor=VENDOR_PROFILES[_VENDOR_CYCLE[device_id % len(_VENDOR_CYCLE)]],

@@ -7,6 +7,8 @@ are produced by the benchmark harness.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,30 @@ def small_population() -> ChipPopulation:
 def rng() -> np.random.Generator:
     """A seeded NumPy generator for test-local randomness."""
     return np.random.default_rng(2024)
+
+
+
+@pytest.fixture
+def generator_calls(monkeypatch: pytest.MonkeyPatch) -> SimpleNamespace:
+    """Count generator constructions for the duration of one test.
+
+    ``make_rng`` lists the label paths passed to ``repro.dram.chip.make_rng``
+    (the chip's seed-addressed streams); ``default_rng`` counts every
+    ``numpy.random.default_rng`` call, whoever makes it.
+    """
+    import repro.dram.chip as chip_module
+
+    calls = SimpleNamespace(make_rng=[], default_rng=0)
+    make_rng, default_rng = chip_module.make_rng, np.random.default_rng
+
+    def counting_make_rng(seed, *labels):
+        calls.make_rng.append(labels)
+        return make_rng(seed, *labels)
+
+    def counting_default_rng(*args, **kwargs):
+        calls.default_rng += 1
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(chip_module, "make_rng", counting_make_rng)
+    monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+    return calls

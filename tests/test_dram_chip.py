@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.variants import VariantFunction, standard_variants
-from repro.dram.chip import DRAMChip, RowState, VENDOR_PROFILES
+from repro.dram.chip import DRAMChip, RowState, VENDOR_PROFILES, _vendor_rp_columns
 from repro.dram.geometry import DRAMGeometry
+from repro.dram.module import DRAMModule
 
 VARIANTS = standard_variants()
 
@@ -224,3 +228,93 @@ class TestVendorProfiles:
         ddr3l = DRAMChip("l", geometry=small_geometry, voltage=1.35, seed=4)
         ddr3 = DRAMChip("h", geometry=small_geometry, voltage=1.50, seed=4)
         assert ddr3l.sig_stability > ddr3.sig_stability
+
+
+#: Geometry of the pinned chips below (the fleet's default device geometry).
+PINNED_GEOMETRY = DRAMGeometry(banks=4, rows_per_bank=64, row_bits=8192, device_width=8)
+
+#: Per-chip variation of chip ``pin-<vendor>-<voltage>`` (seed 20211), as
+#: drawn when every chip still derived it at construction: the
+#: ``sig_weak_fraction`` and ``readable_fraction`` bits (``float.hex``), and
+#: the size and SHA-256 prefix of the little-endian int64 reduced-tRP
+#: failing columns.
+PINNED_VARIATION = {
+    ("A", 1.35): ("0x1.7648004ac0762p-10", "0x1.d85ca568234ccp-1", 164, "ab9518b54fd16a39"),
+    ("A", 1.50): ("0x1.3985ebc53707ap-10", "0x1.b3171ba7a5138p-1", 164, "68c264fca138e536"),
+    ("B", 1.35): ("0x1.783600d0983bcp-11", "0x1.92fc8220704ccp-2", 163, "00a24f81b7099a46"),
+    ("B", 1.50): ("0x1.d4b789d5e9d62p-12", "0x1.397c8bbd94962p-1", 164, "38010a10b7418b36"),
+    ("C", 1.35): ("0x1.73f5ba4a6ec28p-11", "0x1.0a5cbad18eaa4p-1", 202, "30a155b556a2253e"),
+    ("C", 1.50): ("0x1.fee27cee52e36p-13", "0x1.e0b61cdefb333p-1", 205, "cccb2ab4de594be7"),
+}
+
+VARIATION_ATTRIBUTES = ("sig_weak_fraction", "readable_fraction", "_rp_failing_columns")
+
+
+class TestLazyVariation:
+    """Per-chip variation is drawn on first read, from the same streams."""
+
+    def test_building_chips_and_modules_creates_no_generator(
+        self, generator_calls, small_geometry
+    ):
+        for vendor in VENDOR_PROFILES.values():
+            DRAMChip("lazy", geometry=small_geometry, vendor=vendor, seed=5)
+            DRAMModule(
+                module_id="lazy", chip_geometry=small_geometry, vendor=vendor, seed=5
+            )
+        assert generator_calls.make_rng == []
+        assert generator_calls.default_rng == 0
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(VARIATION_ATTRIBUTES)))
+    def test_variation_matches_pinned_values_in_any_read_order(self, order):
+        for (vendor, voltage), pinned in PINNED_VARIATION.items():
+            sig_hex, readable_hex, n_columns, digest = pinned
+            chip = DRAMChip(
+                f"pin-{vendor}-{voltage}",
+                geometry=PINNED_GEOMETRY,
+                vendor=VENDOR_PROFILES[vendor],
+                voltage=voltage,
+                seed=20211,
+            )
+            values = {name: getattr(chip, name) for name in order}
+            assert values["sig_weak_fraction"] == float.fromhex(sig_hex)
+            assert values["readable_fraction"] == float.fromhex(readable_hex)
+            columns = values["_rp_failing_columns"]
+            assert columns.dtype == np.int64
+            assert columns.size == n_columns
+            assert hashlib.sha256(columns.astype("<i8").tobytes()).hexdigest()[:16] == digest
+            # A derived value is kept: later reads return the same object.
+            for name in order:
+                assert getattr(chip, name) is values[name]
+
+    def test_reset_profile_memos_keeps_the_variation(self, chip):
+        before = (chip.sig_weak_fraction, chip.readable_fraction, chip._rp_failing_columns)
+        chip.reset_profile_memos()
+        after = (chip.sig_weak_fraction, chip.readable_fraction, chip._rp_failing_columns)
+        assert all(a is b for a, b in zip(before, after))
+
+    def test_vendor_columns_are_drawn_once_and_shared_read_only(
+        self, generator_calls, small_geometry
+    ):
+        vendor = VENDOR_PROFILES["B"]
+        _vendor_rp_columns.cache_clear()
+        chips = [
+            DRAMChip(f"v{i}", geometry=small_geometry, vendor=vendor, seed=i)
+            for i in range(12)
+        ]
+        per_chip = [chip._rp_failing_columns for chip in chips]
+        vendor_draws = [
+            labels for labels in generator_calls.make_rng if "rp-vendor-columns" in labels
+        ]
+        assert vendor_draws == [("rp-vendor-columns", "B")]
+        n_columns = small_geometry.row_bits
+        n_fail = max(1, int(round(vendor.rp_column_failure_fraction * n_columns)))
+        n_vendor = int(round(n_fail * vendor.rp_vendor_common_fraction))
+        shared = _vendor_rp_columns(vendor.name, n_columns, n_vendor)
+        assert _vendor_rp_columns(vendor.name, n_columns, n_vendor) is shared
+        assert _vendor_rp_columns.cache_info().misses == 1
+        assert shared.size == n_vendor
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = -1
+        for columns in per_chip:
+            assert np.isin(shared, columns).all()

@@ -149,6 +149,28 @@ class AlwaysCrashJob(Job):
         os._exit(75)
 
 
+@dataclass(frozen=True)
+class GatedMonteCarloPointJob(MonteCarloPointJob):
+    """Picklable Monte Carlo point whose shards after the first wait for a gate.
+
+    A shard starting past sample 0 polls until the file ``gate`` exists, so
+    the test decides when those shards may finish.  The wait is bounded
+    (30 s): a gate that never opens fails the shard instead of hanging the
+    pool.
+    """
+
+    gate: str = ""
+
+    def run_range(self, start: int, stop: int) -> int:
+        if start > 0:
+            deadline = time.monotonic() + 30.0
+            while not os.path.exists(self.gate):
+                if time.monotonic() > deadline:
+                    raise TimeoutError(f"gate {self.gate} never opened")
+                time.sleep(0.001)
+        return super().run_range(start, stop)
+
+
 class TestIterJobs:
     def test_event_sequence_for_one_job(self):
         events = list(iter_jobs([ExperimentJob("table1")]))
@@ -309,12 +331,23 @@ class TestFailFastPoolDrain:
     def test_sharded_drain_caches_shards_but_never_merges_parent(self, tmp_path):
         cache = ResultCache(tmp_path)
         fail = SlowFailJob(sleep_s=0.02)
-        # Enough shards that the queued tail is guaranteed to be cancelled
-        # long before it could complete the parent.
-        point = MonteCarloPointJob(4.0, 30.0, samples=64 * MC_SAMPLE_BLOCK)
+        # Every shard after the first waits for the gate, which opens only
+        # once the stream has reported the failure: fail-fast has cancelled
+        # the queued tail before any shard but the first can finish, so the
+        # parent cannot complete however the pool is scheduled.
+        gate = tmp_path / "gate"
+        point = GatedMonteCarloPointJob(
+            4.0, 30.0, samples=64 * MC_SAMPLE_BLOCK, gate=str(gate)
+        )
+
+        def open_gate_on_failure(done, total, outcome):
+            if outcome.job is fail and not outcome.ok:
+                gate.touch()
+
         with pytest.raises(EngineError):
             run_sharded(
-                [fail, point], shard_size=MC_SAMPLE_BLOCK, workers=2, cache=cache
+                [fail, point], shard_size=MC_SAMPLE_BLOCK, workers=2, cache=cache,
+                progress=open_gate_on_failure,
             )
         fresh = ResultCache(tmp_path)
         # The first shard was in flight alongside the failure: it drained

@@ -23,6 +23,7 @@ from repro.engine import (
     run_sharded,
 )
 from repro.fleet import (
+    FLEET_PUF_FACTORIES,
     DeviceFleet,
     FleetConfig,
     FleetVerifier,
@@ -118,6 +119,21 @@ class TestDeviceFleet:
         fleet = DeviceFleet(CONFIG)
         vendors = {fleet.device(i).module.vendor.name for i in range(3)}
         assert vendors == {"A", "B", "C"}
+
+    @pytest.mark.parametrize("puf", sorted(FLEET_PUF_FACTORIES))
+    def test_building_devices_creates_no_generator(self, generator_calls, puf):
+        fleet = DeviceFleet(
+            FleetConfig(seed=11, devices=6, puf=puf, chips_per_device=2)
+        )
+        for device_id in range(6):
+            fleet.device(device_id)
+        assert generator_calls.make_rng == []
+        assert generator_calls.default_rng == 0
+
+    def test_devices_share_the_fleet_geometry(self):
+        fleet = DeviceFleet(CONFIG)
+        geometries = {id(fleet.device(i).module.chip_geometry) for i in range(4)}
+        assert len(geometries) == 1
 
 
 class TestGoldenStore:

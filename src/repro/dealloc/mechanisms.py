@@ -50,7 +50,6 @@ def _region_rows(event: TraceEvent) -> range:
 class SoftwareZeroing:
     """Software baseline: store zeros to every line, then CLFLUSH it."""
 
-    core: InOrderCore
     name: str = "software"
 
     def handle(self, core: InOrderCore, event: TraceEvent) -> None:
@@ -64,7 +63,6 @@ class SoftwareZeroing:
 class _RowGranularZeroing:
     """Shared implementation of the in-DRAM row-granular mechanisms."""
 
-    core: InOrderCore
     request_type: RequestType = RequestType.CODIC_ZERO_ROW
     name: str = "codic"
 
@@ -116,10 +114,13 @@ class LISACloneZeroing(_RowGranularZeroing):
     name: str = "lisa"
 
 
-#: Factories keyed by the mechanism names used in Figures 8 and 9.
+#: Factories keyed by the mechanism names used in Figures 8 and 9.  A
+#: handler keeps no reference to its core (``handle`` receives it), so a
+#: finished system is freed by reference counting, not by the cyclic
+#: garbage collector.
 MECHANISM_FACTORIES: dict[str, Callable[[InOrderCore], object]] = {
-    "software": lambda core: SoftwareZeroing(core),
-    "lisa": lambda core: LISACloneZeroing(core),
-    "rowclone": lambda core: RowCloneZeroing(core),
-    "codic": lambda core: CODICZeroing(core),
+    "software": lambda core: SoftwareZeroing(),
+    "lisa": lambda core: LISACloneZeroing(),
+    "rowclone": lambda core: RowCloneZeroing(),
+    "codic": lambda core: CODICZeroing(),
 }

@@ -113,6 +113,21 @@ VENDOR_PROFILES: dict[str, VendorProfile] = {
 }
 
 
+def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.union1d(a, b).astype(np.int64)``, without NumPy's generic ``unique``.
+
+    Concatenate, sort, then keep each element that differs from its
+    predecessor: the same sorted, unique int64 array, in about a quarter of
+    the time on row-sized inputs.
+    """
+    merged = np.concatenate((a, b)).astype(np.int64, copy=False)
+    merged.sort()
+    keep = np.empty(merged.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
+
+
 @lru_cache(maxsize=None)
 def _vendor_rp_columns(vendor_name: str, n_columns: int, n_vendor: int) -> np.ndarray:
     """The reduced-tRP failing columns common to every chip of a vendor.
@@ -277,7 +292,7 @@ class DRAMChip:
             n_columns, size=max(0, n_fail - n_vendor), replace=False
         )
         vendor_columns = _vendor_rp_columns(self.vendor.name, n_columns, n_vendor)
-        return np.union1d(vendor_columns, chip_columns).astype(np.int64)
+        return _sorted_union(vendor_columns, chip_columns)
 
     def reset_profile_memos(self) -> None:
         """Drop the deterministic per-row memos (weak cells, failure profiles).
@@ -534,7 +549,7 @@ class DRAMChip:
         n_spurious = rng.poisson(spurious_lam)
         if n_spurious > 0:
             extra = rng.integers(0, self.geometry.row_bits, size=int(n_spurious))
-            return np.union1d(kept, extra).astype(np.int64, copy=False)
+            return _sorted_union(kept, extra)
         return kept.astype(np.int64, copy=False)
 
     def sig_response(
@@ -710,11 +725,10 @@ class DRAMChip:
         count = min(count, self.geometry.row_bits)
         if count:
             row_specific = rng.choice(self.geometry.row_bits, size=count, replace=False)
-            cells = np.union1d(self._rp_failing_columns, row_specific)
+            cells = _sorted_union(self._rp_failing_columns, row_specific)
         else:
             cells = self._rp_failing_columns.copy()
         probabilities = np.full(cells.size, self.vendor.rp_stability, dtype=np.float64)
-        cells = cells.astype(np.int64)
         cells.setflags(write=False)
         probabilities.setflags(write=False)
         self._rp_profile_cache.put(

@@ -44,7 +44,15 @@ from typing import Any, Callable, Iterator, Sequence
 from repro import telemetry
 from repro.engine import faults
 from repro.engine.cache import ResultCache
-from repro.engine.jobs import Job
+from repro.engine.jobs import (
+    CACHED,
+    FAILED,
+    FINISHED,
+    SCHEDULED,
+    STARTED,
+    TERMINAL_EVENTS,
+    Job,
+)
 
 
 @dataclass
@@ -67,17 +75,6 @@ class JobOutcome:
         if not self.ok:
             status = "FAILED"
         return f"{self.job.job_id}  {status}"
-
-
-#: Event types emitted by :func:`iter_jobs` / :func:`iter_sharded`.
-SCHEDULED = "scheduled"
-STARTED = "started"
-CACHED = "cached"
-FINISHED = "finished"
-FAILED = "failed"
-
-#: Events that settle a job; exactly one is emitted per executed job.
-TERMINAL_EVENTS = frozenset({CACHED, FINISHED, FAILED})
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,18 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any
 
+#: The events a job passes through in an engine event stream
+#: (:class:`repro.engine.executor.JobEvent` types, the ``event`` field of
+#: the ``--stream`` and daemon wire records).
+SCHEDULED = "scheduled"
+STARTED = "started"
+CACHED = "cached"
+FINISHED = "finished"
+FAILED = "failed"
+
+#: Events that settle a job; exactly one is emitted per executed job.
+TERMINAL_EVENTS = frozenset({CACHED, FINISHED, FAILED})
+
 
 class Job:
     """Abstract unit of work; subclasses are frozen dataclasses."""

@@ -41,9 +41,6 @@ from typing import Iterator, Sequence
 from repro import telemetry
 from repro.engine.cache import ResultCache
 from repro.engine.executor import (
-    CACHED,
-    FAILED,
-    FINISHED,
     CancelToken,
     JobEvent,
     JobOutcome,
@@ -53,7 +50,7 @@ from repro.engine.executor import (
     _active_registry,
     iter_jobs,
 )
-from repro.engine.jobs import Job, ShardedJob
+from repro.engine.jobs import CACHED, FAILED, FINISHED, Job, ShardedJob
 
 
 @dataclass

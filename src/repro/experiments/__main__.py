@@ -30,7 +30,11 @@ additionally splits the shardable experiments (Table 11, Figures 5/6,
 aging) into sample/pair ranges scheduled on the same pool, and each
 experiment's table renders the moment its last shard lands -- long sweeps
 stream rows instead of blocking on a global barrier.  ``--stream`` exposes
-the raw event stream as NDJSON lines on stdout.
+the raw event stream as NDJSON lines on stdout.  Each call imports only the
+engine modules it runs: ``--list`` none, a daemon-routed call the client
+(:mod:`repro.engine.client`), the job classes and the source fingerprint,
+an inline run the cache and the sharded executor; only ``daemon run``
+loads the server (:mod:`repro.engine.daemon`).
 
 When a warm daemon is listening (``daemon start``; socket from
 ``$REPRO_DAEMON_SOCKET`` or a per-user default) and the invocation does not
@@ -61,21 +65,6 @@ import time
 from functools import partial
 
 from repro import telemetry
-from repro.engine import (
-    CacheStats,
-    DaemonClient,
-    DaemonError,
-    ExperimentDaemon,
-    ExperimentJob,
-    ResultCache,
-    TERMINAL_EVENTS,
-    default_cache_dir,
-    default_socket_path,
-    iter_sharded,
-    source_fingerprint,
-    start_daemon,
-    stop_daemon,
-)
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import EXPERIMENT_IDS
 
@@ -178,6 +167,9 @@ class _EventRenderer:
     """
 
     def __init__(self, selected: list[str], *, as_json: bool, stream: bool):
+        from repro.engine.jobs import TERMINAL_EVENTS
+
+        self._terminal_events = TERMINAL_EVENTS
         self.selected = list(selected)
         self.as_json = as_json
         self.stream = stream
@@ -201,7 +193,7 @@ class _EventRenderer:
         if self.stream:
             print(json.dumps(payload, separators=(",", ":")), flush=True)
             self._stdout_lines += 1
-        if payload.get("event") not in TERMINAL_EVENTS:
+        if payload.get("event") not in self._terminal_events:
             return
         if payload.get("total") is not None:
             self.done += 1
@@ -287,7 +279,13 @@ def _route(jobs: list, new_sink, *, shard_size: int | None, workers: int):
     process's ``trace_id`` and parents its ``daemon.request`` span under the
     client's active span, so a traced daemon-routed request forms one tree
     across client, daemon, and the daemon's pool workers.
+
+    Loads the client, the job classes and the source fingerprint, never
+    the server, the executor or the pool.
     """
+    from repro.engine.cache import source_fingerprint
+    from repro.engine.client import DaemonClient, DaemonError
+
     try:
         client = DaemonClient()
     except DaemonError as error:
@@ -358,6 +356,8 @@ def _cache_prune_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.max_mb < 0:
         parser.error("--max-mb must be non-negative")
+    from repro.engine.cache import ResultCache, default_cache_dir
+
     try:
         cache = ResultCache(args.cache_dir or default_cache_dir())
     except OSError as error:
@@ -384,10 +384,7 @@ def _fleet_main(argv: list[str]) -> int:
     under the volatile ``elapsed_seconds``/``auths_per_second``/``latency``
     keys; every other field is deterministic.
     """
-    import time
-
-    from repro.engine import FleetTrafficJob
-    from repro.engine.sharding import run_sharded
+    from repro.engine.jobs import FleetTrafficJob
     from repro.fleet.devices import FLEET_PUF_FACTORIES
     from repro.fleet.traffic import TrafficSummary
     from repro.utils.tables import render_table
@@ -491,7 +488,8 @@ def _fleet_main(argv: list[str]) -> int:
         # end to end (no Python-int list copies on this handoff path).
         from dataclasses import replace
 
-        from repro.engine import FleetEnrollJob
+        from repro.engine.jobs import FleetEnrollJob
+        from repro.engine.sharding import run_sharded
 
         enroll_job = FleetEnrollJob(
             fleet_seed=args.seed,
@@ -545,6 +543,8 @@ def _fleet_main(argv: list[str]) -> int:
                 value = job.decode(payload)
                 latency = telemetry.Histogram.from_dict(routed[1]["latency"])
             else:
+                from repro.engine.sharding import run_sharded
+
                 reg = telemetry.registry()
                 auth_latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS)
                 before = telemetry.Histogram.from_dict(auth_latency.to_dict())
@@ -750,6 +750,14 @@ def _daemon_main(argv: list[str]) -> int:
     if args.action == "tail" and args.count < 0:
         print("--count must be non-negative", file=sys.stderr)
         return 2
+    from repro.engine.client import (
+        DaemonClient,
+        DaemonError,
+        default_socket_path,
+        start_daemon,
+        stop_daemon,
+    )
+
     try:
         socket_path = args.socket or default_socket_path()
         if args.action == "start":
@@ -809,7 +817,10 @@ def _daemon_main(argv: list[str]) -> int:
             for record in client.tail(args.count).get("records", []):
                 print(json.dumps(record, separators=(",", ":")))
             return 0
-        # "run": serve in the foreground (what `daemon start` spawns).
+        # "run": serve in the foreground (what `daemon start` spawns); the
+        # only call that loads the server.
+        from repro.engine.daemon import ExperimentDaemon
+
         ExperimentDaemon(
             socket_path,
             cache_dir=args.cache_dir,
@@ -875,6 +886,8 @@ def _dispatch(argv: list[str] | None) -> int:
         print(f"known experiments: {', '.join(EXPERIMENT_IDS)}", file=sys.stderr)
         return 2
 
+    from repro.engine.jobs import ExperimentJob
+
     jobs = [ExperimentJob(experiment_id, quick=not args.full) for experiment_id in selected]
     new_renderer = partial(
         _EventRenderer, selected, as_json=args.as_json, stream=args.stream
@@ -897,6 +910,8 @@ def _dispatch(argv: list[str] | None) -> int:
                 return 1
             code = renderer.finish()
             if code == 0:
+                from repro.engine.cache import CacheStats
+
                 stats = CacheStats(hits=done["hits"], misses=done["misses"])
                 print(
                     f"cache: {stats.summary()}, {done['memory_hits']} from memory "
@@ -904,6 +919,9 @@ def _dispatch(argv: list[str] | None) -> int:
                     file=sys.stderr,
                 )
             return code
+
+    from repro.engine.cache import ResultCache, default_cache_dir
+    from repro.engine.sharding import iter_sharded
 
     trace_writer: telemetry.TraceWriter | None = None
     was_collecting = telemetry.collection_enabled()

@@ -36,14 +36,14 @@ from repro.engine import (
 )
 from repro.engine import daemon as daemon_mod
 from repro.engine import faults as faults_mod
-from repro.engine.daemon import (
+from repro.engine.client import (
     PROTOCOL_VERSION,
     TERMINAL_FRAME_TYPES,
-    _acquire_bind_lock,
     _lock_file,
     recv_frame,
     send_frame,
 )
+from repro.engine.daemon import _acquire_bind_lock
 from repro.experiments.__main__ import main
 
 pytestmark = pytest.mark.skipif(
@@ -250,10 +250,11 @@ class TestDaemonServer:
         self, daemon, tmp_path, capsys, monkeypatch
     ):
         import repro.experiments.__main__ as cli
+        from repro.engine import cache
 
         monkeypatch.setenv("REPRO_DAEMON_SOCKET", str(daemon.socket_path))
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "inline-cache"))
-        monkeypatch.setattr(cli, "source_fingerprint", lambda: "edited-sources")
+        monkeypatch.setattr(cache, "source_fingerprint", lambda: "edited-sources")
         assert cli.main(["table1"]) == 0
         captured = capsys.readouterr()
         assert "table1:" in captured.out  # ran inline, still produced the table
@@ -989,7 +990,7 @@ class TestStopDaemonEscalation:
 
     def test_wedged_daemon_requires_force_and_is_sigkilled(self, tmp_path):
         from repro.engine import start_daemon, stop_daemon
-        from repro.engine.daemon import _pid_file
+        from repro.engine.client import _pid_file
 
         socket_path = tmp_path / "wedged.sock"
         pid = start_daemon(socket_path, cache_dir=tmp_path / "cache", workers=1)
@@ -1080,6 +1081,7 @@ class TestRoutingRule:
     @pytest.fixture
     def route(self, monkeypatch, tmp_path):
         """Install scripted attempts; returns table1's event frames."""
+        from repro.engine import client as client_mod
         from repro.engine import iter_sharded
         from repro.experiments import __main__ as cli
 
@@ -1092,7 +1094,7 @@ class TestRoutingRule:
 
         def install(*attempts):
             client = _ScriptedClient(attempts)
-            monkeypatch.setattr(cli, "DaemonClient", lambda: client)
+            monkeypatch.setattr(client_mod, "DaemonClient", lambda: client)
             return client
 
         return events, install

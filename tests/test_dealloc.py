@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.dealloc.mechanisms import (
@@ -22,6 +24,8 @@ from repro.dealloc.workloads import (
     random_mixes,
 )
 from repro.dram.geometry import DRAMGeometry
+from repro.memctrl.controller import MemoryController
+from repro.memctrl.cpu import InOrderCore
 from repro.memctrl.request import RequestType
 from repro.memctrl.system import System, SystemConfig
 from repro.memctrl.trace import TraceEvent, TraceEventType
@@ -107,7 +111,7 @@ class TestMechanisms:
     def test_software_zeroing_issues_stores_and_flushes(self):
         system = self._system()
         core = system.cores[0]
-        handler = SoftwareZeroing(core)
+        handler = SoftwareZeroing()
         stores_before = core.stats.stores
         handler.handle(core, TraceEvent(TraceEventType.DEALLOC, address=0, size_bytes=8192))
         assert core.stats.stores - stores_before == 128  # one per cache line
@@ -115,7 +119,7 @@ class TestMechanisms:
     def test_codic_zeroing_issues_one_row_op_per_row(self):
         system = self._system()
         core = system.cores[0]
-        handler = CODICZeroing(core)
+        handler = CODICZeroing()
         handler.handle(core, TraceEvent(TraceEventType.DEALLOC, address=0, size_bytes=16384))
         system.controller.drain()
         assert system.controller.stats.row_ops == 2
@@ -123,7 +127,7 @@ class TestMechanisms:
     def test_partial_rows_fall_back_to_software(self):
         system = self._system()
         core = system.cores[0]
-        handler = CODICZeroing(core)
+        handler = CODICZeroing()
         # 4 KB region in the middle of a row: no full row available.
         handler.handle(
             core, TraceEvent(TraceEventType.DEALLOC, address=4096, size_bytes=4096)
@@ -133,11 +137,9 @@ class TestMechanisms:
         assert core.stats.stores == 64
 
     def test_mechanism_request_types(self):
-        system = self._system()
-        core = system.cores[0]
-        assert CODICZeroing(core).request_type is RequestType.CODIC_ZERO_ROW
-        assert RowCloneZeroing(core).request_type is RequestType.ROWCLONE_ZERO_ROW
-        assert LISACloneZeroing(core).request_type is RequestType.LISA_ZERO_ROW
+        assert CODICZeroing().request_type is RequestType.CODIC_ZERO_ROW
+        assert RowCloneZeroing().request_type is RequestType.ROWCLONE_ZERO_ROW
+        assert LISACloneZeroing().request_type is RequestType.LISA_ZERO_ROW
 
 
 class TestStudy:
@@ -173,6 +175,33 @@ class TestStudy:
         result = study.run_mix("MIX5", PAPER_MIXES["MIX5"])
         for mechanism in COMPARED_MECHANISMS:
             assert result.comparison(mechanism).speedup > 0.9
+
+    def test_finished_systems_are_freed_without_the_cycle_collector(self):
+        # A handler that held its core would close a core -> handler -> core
+        # cycle: each finished System's cores, and the controller and caches
+        # behind them, would then wait for the cyclic collector.
+        trace = generate_trace(
+            ALLOC_INTENSIVE_BENCHMARKS["malloc"], instructions=4_000, seed=5
+        )
+        study = DeallocStudy()
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            study._compare([trace], label="malloc", cores=1)
+            gc.collect()
+            stranded = [
+                type(obj).__name__
+                for obj in gc.garbage
+                if isinstance(obj, (System, InOrderCore, MemoryController))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert stranded == []
 
     def test_percent_properties(self, malloc_result):
         comparison = malloc_result.comparison("codic")

@@ -7,13 +7,41 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.variants import VariantFunction, standard_variants
-from repro.dram.chip import DRAMChip, RowState, VENDOR_PROFILES, _vendor_rp_columns
+from repro.dram.chip import (
+    DRAMChip,
+    RowState,
+    VENDOR_PROFILES,
+    _sorted_union,
+    _vendor_rp_columns,
+)
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.module import DRAMModule
 
 VARIANTS = standard_variants()
+
+
+#: Column indices of a row; the narrow range makes repeats likely.
+_columns = st.lists(st.integers(0, 8191) | st.integers(0, 15), max_size=200)
+
+
+class TestSortedUnion:
+    @given(_columns, _columns, st.sampled_from([np.int64, np.int32]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_union1d(self, a, b, dtype):
+        left, right = np.array(a, dtype=dtype), np.array(b, dtype=np.int64)
+        expected = np.union1d(left, right).astype(np.int64)
+        result = _sorted_union(left, right)
+        assert result.dtype == np.int64
+        assert np.array_equal(result, expected)
+
+    def test_duplicates_inside_either_array(self):
+        left = np.array([9, 3, 3, 9, 0], dtype=np.int64)
+        right = np.array([3, 7, 7, 0], dtype=np.int64)
+        assert _sorted_union(left, right).tolist() == [0, 3, 7, 9]
+        assert _sorted_union(right, left).tolist() == [0, 3, 7, 9]
 
 
 class TestDataPath:

@@ -9,8 +9,8 @@ configurations on the paper population's DDR3 class:
   over the whole pair block (the shape the ``*_shard`` methods and the
   engine's ``PUFPairsJob`` ranges use);
 * **batched-warm** -- the same batched call replayed with the deterministic
-  profile memos already resident (the daemon / fleet warm-store steady-state
-  regime): per-pair cost is the multi-read noise kernels alone, with no
+  profile memos already resident (the steady-state regime of a warm daemon
+  or a repeated fleet replay): per-pair cost is the multi-read noise kernels alone, with no
   profile re-derivation.
 
 Both draw from the same per-pair ``StreamTree`` streams, so the benchmark
@@ -103,7 +103,7 @@ def _warm_rates() -> dict[str, float]:
 
     One untimed replay of the identical pair block populates the module-level
     segment-profile memo, then the timed replay measures the steady-state
-    regime (daemon, fleet ``--warm-store``) where per-pair cost is noise
+    regime (warm daemon, repeated fleet replays) where per-pair cost is noise
     draws + filter reduction only.  Responses are bit-identical either way.
     """
     pairs = _pairs()

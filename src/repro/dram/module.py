@@ -33,8 +33,8 @@ from repro.utils.rng import derive_seed
 #: Byte budget of the module-level segment-profile memo.  One warm entry is a
 #: whole rank's concatenated profile (~32 KB for the paper's 8-chip DDR3
 #: modules), and the warm regimes this memo serves (daemon steady state,
-#: fleet warm store, pair-block replays) revisit hundreds of distinct rows --
-#: a per-chip-sized budget would thrash before a block replay completes.
+#: warm fleet replays, pair-block replays) revisit hundreds of distinct rows
+#: -- a per-chip-sized budget would thrash before a block replay completes.
 SEGMENT_PROFILE_MEMO_BYTES = 4 * 1024 * 1024
 
 

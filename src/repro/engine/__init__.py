@@ -3,8 +3,8 @@
 The engine is the substrate every scaling feature builds on:
 
 * :mod:`repro.engine.jobs` -- picklable job descriptions (registry
-  experiments, Monte Carlo sweep points, PUF pair batches, fleet traffic and
-  enrollment) with deterministic configs, plus the :class:`ShardedJob`
+  experiments, Monte Carlo sweep points, PUF pair batches, fleet traffic)
+  with deterministic configs, plus the :class:`ShardedJob`
   split/merge protocol and :class:`RangeJob`, the one shape every range-split
   job shares (its shards are :class:`RangeShard` unit ranges), and the names
   of the events a job passes through;
@@ -73,7 +73,6 @@ _EXPORTS = {
     "STARTED": "repro.engine.jobs",
     "TERMINAL_EVENTS": "repro.engine.jobs",
     "ExperimentJob": "repro.engine.jobs",
-    "FleetEnrollJob": "repro.engine.jobs",
     "FleetTrafficJob": "repro.engine.jobs",
     "Job": "repro.engine.jobs",
     "MonteCarloPointJob": "repro.engine.jobs",

@@ -66,6 +66,7 @@ is driven by :mod:`repro.engine.faults` (``$REPRO_FAULTS``).
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 import socketserver
@@ -723,20 +724,23 @@ class _Handler(socketserver.StreamRequestHandler):
 def _root_jobs(request: dict[str, Any]) -> list[Job]:
     """Validate a ``submit`` request and rebuild its root jobs.
 
-    Raises :class:`ValueError` carrying the refusal message.  Each spec's
-    ``config`` may hold only fields of the rebuilt job's cache identity
-    (``job.config``; omitted fields take the job's defaults): a field
-    outside it -- ``FleetTrafficJob.warm_golden``, say -- could change what
-    the job computes without changing the key its value is cached under.
+    Raises :class:`ValueError` carrying the refusal message.  A job refuses
+    a bad config when it is built (an unknown field, or a value such as a
+    NaN fleet jitter), so nothing invalid is admitted or reaches a pool
+    worker.  Each spec's ``config`` may hold only fields of the rebuilt
+    job's cache identity (``job.config``; omitted fields take the job's
+    defaults): a field outside it could change what the job computes
+    without changing the key its value is cached under.
     """
     from repro.experiments.registry import EXPERIMENT_IDS
 
+    # bool is an int subclass: refuse ``true`` rather than read it as 1.
     shard_size = request.get("shard_size")
-    if shard_size is not None and (not isinstance(shard_size, int) or shard_size <= 0):
+    if shard_size is not None and (type(shard_size) is not int or shard_size <= 0):
         raise ValueError("shard_size must be a positive int")
     timeout_s = request.get("timeout_s")
     if timeout_s is not None and (
-        not isinstance(timeout_s, (int, float)) or timeout_s <= 0
+        type(timeout_s) not in (int, float) or not 0 < timeout_s < math.inf
     ):
         raise ValueError("timeout_s must be a positive number")
     specs = request.get("jobs")

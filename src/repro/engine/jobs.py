@@ -11,20 +11,19 @@ the same result.  The job kinds covering the repository today:
 * :class:`PUFPairsJob` is a batch of Jaccard pairs for one Figure 5/6 cell
   or the aging study;
 * :class:`FleetTrafficJob` replays a stream of fleet authentication traffic
-  (:mod:`repro.fleet`);
-* :class:`FleetEnrollJob` enrolls a fleet into the verifier's golden store.
+  (:mod:`repro.fleet`), enrolling each golden response on first use.
 
 Jobs whose work splits into independent units additionally implement the
 :class:`ShardedJob` protocol (``shard_jobs`` -> run each shard -> ``merge``),
 which :func:`repro.engine.sharding.run_sharded` uses to schedule the shards
-of many jobs on one process pool and cache them individually.  The last four
+of many jobs on one process pool and cache them individually.  The last three
 kinds are :class:`RangeJob` subclasses: each covers units ``[0, total)``
-(samples, pairs, requests, devices) and splits into :class:`RangeShard`
-ranges -- the one shard class -- whose kind is the parent's ``shard_kind``
-(``montecarlo-shard``, ``puf-pairs-shard``, ``fleet-traffic-shard``,
-``fleet-enroll-shard``).  Because every unit owns an index-derived RNG
-stream, merged shard results are bit-identical to a serial ``run()`` for
-every shard size and worker count.
+(samples, pairs, requests) and splits into :class:`RangeShard` ranges -- the
+one shard class -- whose kind is the parent's ``shard_kind``
+(``montecarlo-shard``, ``puf-pairs-shard``, ``fleet-traffic-shard``).
+Because every unit owns an index-derived RNG stream, merged shard results
+are bit-identical to a serial ``run()`` for every shard size and worker
+count.
 
 Each job also knows how to ``encode``/``decode`` its result to/from a
 JSON-safe dict, which is what the content-addressed cache persists.
@@ -36,7 +35,7 @@ unpickle inside ``ProcessPoolExecutor`` workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
@@ -244,8 +243,8 @@ class RangeShard(Job):
     Wraps the batch job verbatim so batch parameters have one source of
     truth.  The config is the batch's *minus* its unit total, plus the range:
     every unit owns an index-addressed RNG stream, so a range's value depends
-    on the range alone and growing a study (more samples, pairs, requests or
-    devices) re-uses every previously cached shard -- only the tail is new.
+    on the range alone and growing a study (more samples, pairs or requests)
+    re-uses every previously cached shard -- only the tail is new.
     """
 
     batch: RangeJob
@@ -514,16 +513,15 @@ class FleetTrafficJob(RangeJob):
     temperature_jitter_c: float = 0.0
     aging_horizon_hours: float = 0.0
     reenroll_hours: float = 0.0
-    #: Optional pre-enrolled golden payload (the arrays value of a
-    #: :class:`FleetEnrollJob`) handed to every traffic shard worker, which
-    #: then skips lazy re-enrollment.  Excluded from equality/hash and from
-    #: ``config`` (hence cache keys): warm and lazy enrollment are
-    #: bit-identical, so the payload is an execution hint, not an input.
-    warm_golden: Any = field(default=None, compare=False, repr=False)
 
     kind = "fleet-traffic"
     shard_kind = "fleet-traffic-shard"
     total_field = "requests"
+
+    def __post_init__(self) -> None:
+        # Refuse a bad configuration where the job is made (the CLI, a daemon
+        # submit), not inside a pool worker.
+        self.traffic_config().check_fleet_size(self.fleet_config().devices)
 
     def fleet_config(self):
         """The :class:`repro.fleet.devices.FleetConfig` this job addresses."""
@@ -578,94 +576,8 @@ class FleetTrafficJob(RangeJob):
         from repro.fleet.traffic import authenticate_block
 
         fleet, verifier = _fleet_runtime(self.fleet_config())
-        if self.warm_golden is not None:
-            # Install the pre-enrolled golden payload into the memoized
-            # verifier (idempotently: slots other shards already warmed or
-            # lazily enrolled are skipped), so this block evaluates no
-            # enrollment responses.
-            verifier.warm(self.warm_golden)
         genuine, impostor = authenticate_block(
             fleet, verifier, self.traffic_config(), start, stop
         )
         return {"genuine": genuine.tolist(), "impostor": impostor.tolist()}
 
-
-@dataclass(frozen=True)
-class FleetEnrollJob(RangeJob):
-    """Fleet-wide enrollment into the verifier's array-native golden store.
-
-    The result value is the :meth:`repro.fleet.verifier.GoldenStore.
-    to_arrays` dict covering every (device, challenge) slot in device-major
-    order; device ranges merge by array concatenation, so enrollment
-    partitions across the pool bit-identically to a serial pass.  The value
-    stays numpy end to end through merge and the warm-store handoff into
-    traffic shard workers; ``encode`` listifies the arrays only at the
-    JSON/cache boundary.
-    """
-
-    fleet_seed: int
-    devices: int
-    puf: str
-    challenges_per_device: int = 4
-
-    kind = "fleet-enroll"
-    shard_kind = "fleet-enroll-shard"
-    total_field = "devices"
-
-    def fleet_config(self):
-        """The :class:`repro.fleet.devices.FleetConfig` this job enrolls."""
-        from repro.fleet.devices import FleetConfig
-
-        return FleetConfig(
-            seed=self.fleet_seed,
-            devices=self.devices,
-            puf=self.puf,
-            challenges_per_device=self.challenges_per_device,
-        )
-
-    @property
-    def job_id(self) -> str:
-        return f"fleet-enroll[{self.puf},n={self.devices}]"
-
-    @property
-    def config(self) -> dict[str, Any]:
-        return {
-            "fleet_seed": self.fleet_seed,
-            "devices": self.devices,
-            "puf": self.puf,
-            "challenges_per_device": self.challenges_per_device,
-        }
-
-    def run_range(self, start: int, stop: int) -> dict[str, Any]:
-        from repro.fleet.verifier import FleetVerifier
-
-        # A fresh store per block: the payload must contain exactly this
-        # device range, while the memoized traffic verifier accumulates
-        # arbitrary slots.
-        fleet, _ = _fleet_runtime(self.fleet_config())
-        verifier = FleetVerifier(fleet)
-        verifier.enroll_range(start, stop)
-        return verifier.store.to_arrays()
-
-    def merge(self, values: list[Any]) -> Any:
-        from repro.fleet.verifier import GoldenStore
-
-        return GoldenStore.merge_arrays(values)
-
-    def encode(self, result: Any) -> dict[str, Any]:
-        import numpy as np
-
-        return {
-            "keys": np.asarray(result["keys"], dtype=np.int64).reshape(-1, 2).tolist(),
-            "counts": np.asarray(result["counts"], dtype=np.int64).tolist(),
-            "positions": np.asarray(result["positions"], dtype=np.int64).tolist(),
-        }
-
-    def decode(self, payload: dict[str, Any]) -> Any:
-        import numpy as np
-
-        return {
-            "keys": np.asarray(payload["keys"], dtype=np.int64).reshape(-1, 2),
-            "counts": np.asarray(payload["counts"], dtype=np.int64),
-            "positions": np.asarray(payload["positions"], dtype=np.int64),
-        }

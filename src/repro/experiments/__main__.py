@@ -377,10 +377,10 @@ def _fleet_main(argv: list[str]) -> int:
     Provisions a device fleet, replays a deterministic mixed
     genuine/impostor request stream against it (optionally sharded across
     worker processes -- results are bit-identical for any ``--jobs`` /
-    ``--shard-size``, with or without ``--warm-store``, and identical inline
-    or through a warm daemon) and reports FAR/FRR at the given acceptance
-    threshold plus service-grade latency: auths/sec throughput and
-    p50/p95/p99 per-request latency from the fleet auth histogram.  In ``--json`` those wall-clock readings live
+    ``--shard-size``, and identical inline or through a warm daemon) and
+    reports FAR/FRR at the given acceptance threshold plus service-grade
+    latency: auths/sec throughput and p50/p95/p99 per-request latency from
+    the fleet auth histogram.  In ``--json`` those wall-clock readings live
     under the volatile ``elapsed_seconds``/``auths_per_second``/``latency``
     keys; every other field is deterministic.
     """
@@ -424,11 +424,6 @@ def _fleet_main(argv: list[str]) -> int:
                         help="split the stream into request blocks of N")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit one JSON document on stdout")
-    parser.add_argument("--warm-store", action="store_true",
-                        help="eagerly enroll the whole fleet first (sharded "
-                        "FleetEnrollJob) and hand the golden store to the "
-                        "traffic workers, so no shard re-enrolls lazily "
-                        "(bit-identical results; forces inline execution)")
     parser.add_argument("--no-daemon", action="store_true",
                         help="never route the run through a warm daemon")
     parser.add_argument("--trace", default=None, metavar="FILE",
@@ -447,27 +442,20 @@ def _fleet_main(argv: list[str]) -> int:
         print("--threshold must be in [0, 1]", file=sys.stderr)
         return 2
 
-    job = FleetTrafficJob(
-        fleet_seed=args.seed,
-        devices=args.devices,
-        puf=args.puf,
-        requests=args.requests,
-        challenges_per_device=args.challenges,
-        impostor_ratio=args.impostor_ratio,
-        temperature_jitter_c=args.temperature_jitter,
-        aging_horizon_hours=args.aging_horizon,
-        reenroll_hours=args.reenroll,
-    )
     try:
-        # Validate the full configuration before any worker sees it, so bad
-        # values fail with a clear message instead of a pool traceback.
-        job.fleet_config()
-        job.traffic_config()
-        if args.impostor_ratio > 0.0 and args.devices < 2:
-            raise ValueError(
-                "impostor traffic requires a fleet of at least two devices "
-                "(use --impostor-ratio 0 for a single-device fleet)"
-            )
+        # The job refuses a bad configuration when it is made, so bad values
+        # fail with a clear message before any worker sees them.
+        job = FleetTrafficJob(
+            fleet_seed=args.seed,
+            devices=args.devices,
+            puf=args.puf,
+            requests=args.requests,
+            challenges_per_device=args.challenges,
+            impostor_ratio=args.impostor_ratio,
+            temperature_jitter_c=args.temperature_jitter,
+            aging_horizon_hours=args.aging_horizon,
+            reenroll_hours=args.reenroll,
+        )
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -478,36 +466,6 @@ def _fleet_main(argv: list[str]) -> int:
     shard_size = args.shard_size
     if shard_size is None and args.jobs > 1:
         shard_size = -(-args.requests // args.jobs)
-
-    if args.warm_store:
-        # Enroll the whole fleet up front (device-sharded across the same
-        # worker count) and thread the golden arrays payload into the
-        # traffic job: warm and lazy enrollment are bit-identical, so the
-        # deterministic JSON fields cannot change -- only the auth phase
-        # stops paying enrollment evaluations.  The payload stays numpy
-        # end to end (no Python-int list copies on this handoff path).
-        from dataclasses import replace
-
-        from repro.engine.jobs import FleetEnrollJob
-        from repro.engine.sharding import run_sharded
-
-        enroll_job = FleetEnrollJob(
-            fleet_seed=args.seed,
-            devices=args.devices,
-            puf=args.puf,
-            challenges_per_device=args.challenges,
-        )
-        enroll_shard = -(-args.devices // args.jobs) if args.jobs > 1 else None
-        warm_start = time.perf_counter()
-        payload = run_sharded(
-            [enroll_job], shard_size=enroll_shard, workers=args.jobs, cache=None
-        )[0].value
-        print(
-            f"fleet: warm store enrolled {len(payload['counts'])} golden "
-            f"slot(s) in {time.perf_counter() - warm_start:.3f}s",
-            file=sys.stderr,
-        )
-        job = replace(job, warm_golden=payload)
 
     # Latency collection is always on for the fleet CLI (it *is* the
     # service-grade report); the per-request delta of the shared histogram
@@ -526,10 +484,7 @@ def _fleet_main(argv: list[str]) -> int:
         # runs hand its id to the daemon as parent_span, so the daemon's
         # spans (and its workers') join this tree under one trace id.
         with telemetry.span("fleet.request", kind="fleet", requests=args.requests):
-            # A warm store cannot ride through the daemon protocol (the daemon
-            # accepts only a job's cache identity), so --warm-store runs
-            # inline.
-            if not args.no_daemon and not args.warm_store:
+            if not args.no_daemon:
                 routed = _route(
                     [job], _Collector, shard_size=shard_size, workers=args.jobs
                 )

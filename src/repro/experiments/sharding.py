@@ -11,12 +11,8 @@ them bit-for-bit.
 
 Experiments without a plan (cheap closed-form tables) simply run whole.
 
-Unit jobs carry only result-determining parameters in their ``config`` (and
-hence their cache keys); execution hints such as
-:attr:`~repro.engine.jobs.FleetTrafficJob.warm_golden` (a pre-enrolled
-golden-store payload handed to traffic workers) are excluded from configs
-and equality, so a plan's cached cells stay valid no matter how a replay
-was warmed.
+A unit job's ``config`` (and hence its cache key) holds every field of the
+job: each one determines the job's value.
 """
 
 from __future__ import annotations

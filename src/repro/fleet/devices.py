@@ -5,9 +5,9 @@ instance, provisioned purely from a fleet seed: device ``i`` is a
 :class:`~repro.dram.module.DRAMModule` whose chip seeds derive from
 ``(fleet_seed, i)``, so **any device is reconstructible from its identifier
 alone** -- no PUF state is ever stored or shipped between processes.  That is
-what lets the engine partition fleet work (enrollment by device range,
-authentication traffic by request range) across a pool and still reproduce a
-serial run bit-for-bit.
+what lets the engine partition authentication traffic by request range
+across a pool, each worker enrolling the goldens it touches, and still
+reproduce a serial run bit-for-bit.
 
 Per-device randomness is addressed through a :class:`~repro.utils.rng.
 StreamTree` rooted at the fleet seed:
@@ -110,25 +110,6 @@ class FleetConfig:
     def segment_bytes(self) -> int:
         """Size of one challenge segment (= one device row) in bytes."""
         return self.row_bits * self.chips_per_device // 8
-
-    def to_config(self) -> dict[str, Any]:
-        """JSON-safe form used inside engine job configs."""
-        return {
-            "seed": self.seed,
-            "devices": self.devices,
-            "puf": self.puf,
-            "challenges_per_device": self.challenges_per_device,
-            "banks": self.banks,
-            "rows_per_bank": self.rows_per_bank,
-            "row_bits": self.row_bits,
-            "chips_per_device": self.chips_per_device,
-            "enroll_temperature_c": self.enroll_temperature_c,
-        }
-
-    @classmethod
-    def from_config(cls, payload: dict[str, Any]) -> "FleetConfig":
-        """Inverse of :meth:`to_config`."""
-        return cls(**payload)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ profile instead of a per-read Python loop.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -95,35 +96,17 @@ class TrafficConfig:
             raise ValueError(
                 f"impostor_ratio must be in [0, 1], got {self.impostor_ratio}"
             )
-        if self.temperature_jitter_c < 0.0:
-            raise ValueError(
-                "temperature_jitter_c must be non-negative, got "
-                f"{self.temperature_jitter_c}"
-            )
-        if self.aging_horizon_hours < 0.0:
-            raise ValueError(
-                "aging_horizon_hours must be non-negative, got "
-                f"{self.aging_horizon_hours}"
-            )
-        if self.reenroll_hours < 0.0:
-            raise ValueError(
-                f"reenroll_hours must be non-negative, got {self.reenroll_hours}"
-            )
+        for name in ("temperature_jitter_c", "aging_horizon_hours", "reenroll_hours"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
-    def to_config(self) -> dict[str, Any]:
-        """JSON-safe form used inside engine job configs."""
-        return {
-            "requests": self.requests,
-            "impostor_ratio": self.impostor_ratio,
-            "temperature_jitter_c": self.temperature_jitter_c,
-            "aging_horizon_hours": self.aging_horizon_hours,
-            "reenroll_hours": self.reenroll_hours,
-        }
-
-    @classmethod
-    def from_config(cls, payload: dict[str, Any]) -> "TrafficConfig":
-        """Inverse of :meth:`to_config`."""
-        return cls(**payload)
+    def check_fleet_size(self, devices: int) -> None:
+        """Refuse a stream that a ``devices``-device fleet cannot serve."""
+        if self.impostor_ratio > 0.0 and devices < 2:
+            raise ValueError(
+                "impostor traffic requires a fleet of at least two devices"
+            )
 
 
 def authenticate_request(
@@ -185,13 +168,10 @@ def _check_block(
             f"invalid request range [{start}, {stop}) for "
             f"{traffic.requests} requests"
         )
-    if traffic.impostor_ratio > 0.0 and fleet.config.devices < 2:
-        # Checked eagerly (not just on the first impostor draw) so every
-        # block of a degenerate stream fails identically, whether or not
-        # its request range happens to contain an impostor.
-        raise ValueError(
-            "impostor traffic requires a fleet of at least two devices"
-        )
+    # Checked eagerly (not just on the first impostor draw) so every block
+    # of a degenerate stream fails identically, whether or not its request
+    # range happens to contain an impostor.
+    traffic.check_fleet_size(fleet.config.devices)
 
 
 @dataclass

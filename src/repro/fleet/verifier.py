@@ -11,18 +11,16 @@ sets, no per-response ndarray objects.
 Because golden responses are pure functions of the fleet config (device
 ``i``'s ``k``-th golden response is the PUF evaluated on the challenge at
 stream ``("challenge", i, k)`` with the noise stream ``("enroll", i, k)``),
-the verifier can enroll **lazily**: a traffic shard that authenticates
-against device 8231 materializes that device's golden responses on first use
-and still produces exactly the values a fleet-wide eager enrollment would
-have stored.  Eager enrollment (:meth:`FleetVerifier.enroll_range`) exists
-for the device-partitioned :class:`~repro.engine.jobs.FleetEnrollJob` and
-returns its block as a JSON-safe payload that merges by concatenation.
+the verifier enrolls **lazily**: a traffic shard that authenticates against
+device 8231 materializes that device's golden responses on first use, and
+the stored values are the same whichever shard, process or request order
+enrolled them first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -114,137 +112,6 @@ class GoldenStore:
             buffer[offsets[index] : offsets[index + 1]] = self._positions[start:stop]
         return buffer, offsets
 
-    # ------------------------------------------------------------------
-    # Payloads: numpy arrays in-process, lists only at the JSON boundary
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Slots in insertion order as array-native ``{"keys", "counts",
-        "positions"}``.
-
-        The in-process (and worker-handoff) payload form: ``keys`` is an
-        ``(n, 2)`` int64 array of ``(device_id, challenge_index)`` rows,
-        ``counts`` the per-slot position counts, ``positions`` a copy of the
-        occupied buffer.  Concatenating the arrays of two stores (in order)
-        is the payload of the store holding both blocks.  ``to_payload``
-        listifies this form at the JSON/cache boundary.
-        """
-        count = len(self._slots)
-        keys = np.fromiter(
-            (component for key in self._slots for component in key),
-            dtype=np.int64,
-            count=2 * count,
-        ).reshape(count, 2)
-        counts = np.fromiter(
-            (stop - start for start, stop in self._slots.values()),
-            dtype=np.int64,
-            count=count,
-        )
-        return {
-            "keys": keys,
-            "counts": counts,
-            "positions": self._positions[: self._size].copy(),
-        }
-
-    @classmethod
-    def from_arrays(cls, payload: dict[str, Any]) -> "GoldenStore":
-        """Rebuild a store from an arrays (or listified) payload."""
-        store = cls()
-        store.install_arrays(
-            payload["keys"], payload["counts"], payload["positions"]
-        )
-        return store
-
-    def install_arrays(
-        self,
-        keys: "np.ndarray | list",
-        counts: "np.ndarray | list",
-        positions: "np.ndarray | list",
-    ) -> int:
-        """Install payload slots this store does not hold yet; returns how many.
-
-        Already-present keys are skipped without comparison: golden responses
-        are pure functions of the fleet config, so an existing slot
-        necessarily holds the same values -- which is what lets a lazily
-        warmed traffic verifier absorb a :class:`~repro.engine.jobs.
-        FleetEnrollJob` payload idempotently.
-        """
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-        counts = np.asarray(counts, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        if counts.size != keys.shape[0] or int(counts.sum()) != positions.size:
-            raise ValueError(
-                f"golden payload is inconsistent: {keys.shape[0]} keys, "
-                f"{counts.size} counts covering {int(counts.sum())} positions, "
-                f"{positions.size} positions provided"
-            )
-        starts = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        installed = 0
-        for index in range(keys.shape[0]):
-            key = (int(keys[index, 0]), int(keys[index, 1]))
-            if key in self._slots:
-                continue
-            self.add(key[0], key[1], positions[starts[index] : starts[index + 1]])
-            installed += 1
-        return installed
-
-    @classmethod
-    def merge_arrays(
-        cls, payloads: "Iterable[dict[str, Any]]"
-    ) -> dict[str, np.ndarray]:
-        """Concatenate enrollment-block array payloads, in the given order."""
-        payloads = list(payloads)
-        return {
-            "keys": np.concatenate(
-                [np.asarray(p["keys"], dtype=np.int64).reshape(-1, 2) for p in payloads]
-            )
-            if payloads
-            else np.empty((0, 2), dtype=np.int64),
-            "counts": np.concatenate(
-                [np.asarray(p["counts"], dtype=np.int64) for p in payloads]
-            )
-            if payloads
-            else np.empty(0, dtype=np.int64),
-            "positions": np.concatenate(
-                [np.asarray(p["positions"], dtype=np.int64) for p in payloads]
-            )
-            if payloads
-            else np.empty(0, dtype=np.int64),
-        }
-
-    # ------------------------------------------------------------------
-    # JSON-safe payloads (what the engine cache persists)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> dict[str, Any]:
-        """Slots in insertion order as ``{"keys", "counts", "positions"}``.
-
-        The JSON-safe listification of :meth:`to_arrays` -- the only place
-        the position buffer becomes a Python-int list.  Concatenating the
-        payloads of two stores (in order) is the payload of the store
-        holding both blocks, which is what makes device-partitioned
-        enrollment merge by concatenation.
-        """
-        arrays = self.to_arrays()
-        return {
-            "keys": arrays["keys"].tolist(),
-            "counts": arrays["counts"].tolist(),
-            "positions": arrays["positions"].tolist(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "GoldenStore":
-        """Inverse of :meth:`to_payload` (accepts the arrays form too)."""
-        return cls.from_arrays(payload)
-
-    @classmethod
-    def merge_payloads(cls, payloads: Iterable[dict[str, Any]]) -> dict[str, Any]:
-        """Concatenate enrollment-block payloads, in the given order."""
-        merged: dict[str, list[Any]] = {"keys": [], "counts": [], "positions": []}
-        for payload in payloads:
-            for key in merged:
-                merged[key].extend(payload[key])
-        return merged
-
 
 @dataclass
 class FleetVerifier:
@@ -268,28 +135,12 @@ class FleetVerifier:
         self.store.add(device_id, challenge_index, response.position_array)
         return self.store.get(device_id, challenge_index)
 
-    def enroll_device(self, device_id: int) -> None:
-        """Enroll every challenge of one device."""
-        for challenge_index in range(self.fleet.config.challenges_per_device):
-            self.enroll(device_id, challenge_index)
-
-    def enroll_range(self, start: int, stop: int) -> None:
-        """Enroll devices ``[start, stop)`` (the device-partition unit)."""
-        if not 0 <= start <= stop <= self.fleet.config.devices:
-            raise ValueError(
-                f"invalid device range [{start}, {stop}) for "
-                f"{self.fleet.config.devices} devices"
-            )
-        for device_id in range(start, stop):
-            self.enroll_device(device_id)
-
     def golden(self, device_id: int, challenge_index: int) -> np.ndarray:
         """Golden positions of one (device, challenge), enrolling lazily.
 
-        Lazy enrollment stores exactly the array an eager fleet-wide
-        enrollment would have stored (golden responses are functions of the
-        fleet config alone), so shards may materialize only the devices their
-        requests touch.
+        The enrolled array is a function of the fleet config alone, not of
+        which slots were enrolled before it, so shards may materialize only
+        the devices their requests touch.
         """
         golden = self.store.get(device_id, challenge_index)
         if golden is None:
@@ -314,19 +165,6 @@ class FleetVerifier:
             for challenge_index in missing[device_id]:
                 self.enroll(device_id, challenge_index)
         return self.store.get_many(keys)
-
-    def warm(self, payload: dict[str, Any]) -> int:
-        """Absorb a pre-enrolled golden payload (arrays or listified form).
-
-        Installs every slot the store does not hold yet and returns how many
-        were added.  Because golden responses are pure functions of the
-        fleet config, warming is bit-identical to lazy enrollment -- it only
-        moves the evaluation cost to whoever produced the payload (e.g. a
-        sharded :class:`~repro.engine.jobs.FleetEnrollJob`).
-        """
-        return self.store.install_arrays(
-            payload["keys"], payload["counts"], payload["positions"]
-        )
 
     # ------------------------------------------------------------------
     # Verification

@@ -19,6 +19,21 @@ from repro.dram.module import DRAMModule
 from repro.dram.population import ChipPopulation, PAPER_MODULE_SPECS
 
 
+@pytest.fixture(autouse=True)
+def private_cache_and_socket(
+    tmp_path_factory: pytest.TempPathFactory, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Point the default result cache and daemon socket at per-test paths.
+
+    A CLI call without ``--cache-dir`` or ``--no-daemon`` then neither writes
+    ``./.repro-cache`` into the checkout nor routes through a developer's
+    running daemon.  Tests that set either variable themselves override this.
+    """
+    private = tmp_path_factory.mktemp("repro-env")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(private / "cache"))
+    monkeypatch.setenv("REPRO_DAEMON_SOCKET", str(private / "daemon.sock"))
+
+
 #: A small chip geometry used throughout the tests (8 banks x 64 rows x 1 KB).
 SMALL_GEOMETRY = DRAMGeometry(banks=8, rows_per_bank=64, row_bits=8192, device_width=8)
 
@@ -82,7 +97,6 @@ def small_population() -> ChipPopulation:
 def rng() -> np.random.Generator:
     """A seeded NumPy generator for test-local randomness."""
     return np.random.default_rng(2024)
-
 
 
 @pytest.fixture

@@ -221,6 +221,23 @@ class TestDaemonServer:
         frames = list(daemon.submit(["table1"], shard_size=0))
         assert frames[-1]["type"] == "error"
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("shard_size", True, "shard_size must be a positive int"),
+            ("timeout_s", True, "timeout_s must be a positive number"),
+            ("timeout_s", float("nan"), "timeout_s must be a positive number"),
+            ("timeout_s", float("inf"), "timeout_s must be a positive number"),
+        ],
+    )
+    def test_malformed_submit_field_is_refused(self, daemon, field, value, message):
+        # A bool is not a count (``true`` would read as 1), and a deadline
+        # of NaN or infinity never passes.
+        frames = list(daemon.submit(["table1"], **{field: value}))
+        assert [frame["type"] for frame in frames] == ["error"]
+        assert message in frames[0]["message"]
+        assert daemon.status()["active_requests"] == 0
+
     def test_submit_with_stale_code_version_is_refused(self, daemon):
         frames = list(daemon.submit(["table1"], code_version="not-the-daemon's"))
         assert [frame["type"] for frame in frames] == ["stale"]
@@ -445,13 +462,13 @@ class TestDaemonTelemetry:
         assert telemetry.Histogram.from_dict(done["latency"]).count == fleet_job.requests
 
     def test_config_outside_the_cache_identity_is_refused(self, daemon, tmp_path):
-        # warm_golden is an execution hint that is not part of the cache
-        # key: accepted from the wire, bogus goldens would be served (and
-        # cached) as the result of the clean configuration.
+        # A field outside the cache key, accepted from the wire, could make
+        # a bogus value be served (and cached) as the result of the clean
+        # configuration; a job has no such field, so it is an unknown one.
         bogus = dict(FLEET_CONFIG, warm_golden={"counts": [0], "slots": [[1, 2]]})
         frames = list(daemon.fleet(bogus))
         assert [frame["type"] for frame in frames] == ["error"]
-        assert "outside its cache identity" in frames[0]["message"]
+        assert "bad fleet-traffic job config" in frames[0]["message"]
         status = daemon.status()
         assert status["active_requests"] == 0 and status["index_entries"] == 0
         assert len(ResultCache(tmp_path / "cache")) == 0
@@ -462,6 +479,25 @@ class TestDaemonTelemetry:
         frames = list(daemon.fleet({"no_such_field": 1}))
         assert frames[-1]["type"] == "error"
         assert "bad fleet-traffic job config" in frames[-1]["message"]
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"requests": 0},
+            {"impostor_ratio": 5.0},
+            {"puf": "nope"},
+            {"temperature_jitter_c": float("nan")},
+        ],
+    )
+    def test_invalid_fleet_config_is_refused_before_admission(
+        self, daemon, tmp_path, override
+    ):
+        frames = list(daemon.fleet(dict(FLEET_CONFIG, **override)))
+        assert [frame["type"] for frame in frames] == ["error"]
+        assert "bad fleet-traffic job config" in frames[0]["message"]
+        status = daemon.status()
+        assert status["active_requests"] == 0 and status["index_entries"] == 0
+        assert len(ResultCache(tmp_path / "cache")) == 0
 
     def test_fleet_op_requires_a_config_object(self, daemon):
         response = daemon.request(

@@ -4,8 +4,9 @@ experiments and the ``fleet`` CLI subcommand.
 The load-bearing property throughout is *partition independence*: devices
 are reconstructible from ``(fleet_seed, device_id)`` alone, golden responses
 from ``(fleet_seed, device_id, challenge_index)``, and request results from
-``(fleet config, traffic config, request_index)`` -- so any sharding of
-enrollment or traffic merges bit-identically to a serial run.
+``(fleet config, traffic config, request_index)`` -- so golden responses
+enrolled in any order, and any sharding of traffic, match a serial run
+bit-identically.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.engine import (
-    ExperimentJob,
-    FleetEnrollJob,
-    FleetTrafficJob,
-    run_sharded,
-)
+from repro.engine import ExperimentJob, FleetTrafficJob, run_sharded
 from repro.fleet import (
     FLEET_PUF_FACTORIES,
     DeviceFleet,
@@ -59,9 +55,6 @@ class TestFleetConfig:
             FleetConfig(chips_per_device=-1)
         with pytest.raises(ValueError):
             FleetConfig(banks=0)
-
-    def test_config_roundtrip(self):
-        assert FleetConfig.from_config(CONFIG.to_config()) == CONFIG
 
     def test_segment_bytes(self):
         assert CONFIG.segment_bytes == CONFIG.row_bits // 8
@@ -163,29 +156,6 @@ class TestGoldenStore:
         with pytest.raises(KeyError, match="already enrolled"):
             store.add(0, 0, np.array([2], dtype=np.int64))
 
-    def test_payload_roundtrip_and_merge(self):
-        store = GoldenStore()
-        store.add(0, 0, np.array([1, 5], dtype=np.int64))
-        store.add(1, 0, np.array([2], dtype=np.int64))
-        payload = store.to_payload()
-        rebuilt = GoldenStore.from_payload(payload)
-        assert rebuilt.get(0, 0).tolist() == [1, 5]
-        assert rebuilt.get(1, 0).tolist() == [2]
-
-        other = GoldenStore()
-        other.add(2, 0, np.array([9], dtype=np.int64))
-        merged = GoldenStore.merge_payloads([payload, other.to_payload()])
-        combined = GoldenStore.from_payload(merged)
-        assert len(combined) == 3
-        assert combined.get(2, 0).tolist() == [9]
-
-    def test_inconsistent_payload_raises(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            GoldenStore.from_payload(
-                {"keys": [[0, 0]], "counts": [1], "positions": [1, 2]}
-            )
-
-
 class TestGoldenStoreBatch:
     def build_store(self) -> GoldenStore:
         store = GoldenStore()
@@ -214,68 +184,24 @@ class TestGoldenStoreBatch:
         with pytest.raises(KeyError, match="not enrolled"):
             store.get_many([(0, 0), (9, 9)])
 
-    def test_arrays_roundtrip(self):
-        store = self.build_store()
-        arrays = store.to_arrays()
-        assert arrays["keys"].dtype == np.int64
-        assert arrays["keys"].tolist() == [[0, 0], [0, 1], [4, 0]]
-        assert arrays["counts"].tolist() == [3, 0, 1]
-        assert arrays["positions"].tolist() == [3, 17, 99, 5]
-        rebuilt = GoldenStore.from_arrays(arrays)
-        assert len(rebuilt) == 3
-        assert rebuilt.get(0, 0).tolist() == [3, 17, 99]
-        assert rebuilt.get(0, 1).size == 0
-        # to_payload is exactly the listified arrays form.
-        assert store.to_payload() == {
-            key: value.tolist() for key, value in arrays.items()
-        }
-
-    def test_install_arrays_is_idempotent(self):
-        store = self.build_store()
-        arrays = store.to_arrays()
-        other = GoldenStore()
-        other.add(4, 0, np.array([5], dtype=np.int64))  # overlapping slot
-        assert other.install_arrays(**arrays) == 2  # only the missing slots
-        assert other.install_arrays(**arrays) == 0  # second pass is a no-op
-        assert len(other) == 3
-        assert other.total_positions == store.total_positions
-
-    def test_install_arrays_inconsistent_raises(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            GoldenStore().install_arrays(
-                keys=np.array([[0, 0]]), counts=np.array([2]), positions=np.array([1])
-            )
-
-    def test_merge_arrays_matches_merge_payloads(self):
-        first, second = self.build_store(), GoldenStore()
-        second.add(7, 0, np.array([1, 2], dtype=np.int64))
-        merged = GoldenStore.merge_arrays([first.to_arrays(), second.to_arrays()])
-        listified = GoldenStore.merge_payloads(
-            [first.to_payload(), second.to_payload()]
-        )
-        assert {k: v.tolist() for k, v in merged.items()} == {
-            "keys": [list(key) for key in listified["keys"]],
-            "counts": listified["counts"],
-            "positions": listified["positions"],
-        }
-        empty = GoldenStore.merge_arrays([])
-        assert empty["keys"].shape == (0, 2)
-        assert empty["counts"].size == 0 and empty["positions"].size == 0
-
-
 class TestFleetVerifier:
     def test_lazy_golden_equals_eager_enrollment(self):
-        lazy_fleet, lazy = fresh_runtime()
-        eager_fleet, eager = fresh_runtime()
-        eager.enroll_range(0, CONFIG.devices)
-        # Touch lazily in scrambled order; values must match the eager pass.
+        _, lazy = fresh_runtime()
+        _, eager = fresh_runtime()
+        in_order = [
+            eager.enroll(device_id, k).tolist()
+            for device_id in range(CONFIG.devices)
+            for k in range(CONFIG.challenges_per_device)
+        ]
+        assert len(eager.store) == CONFIG.devices * CONFIG.challenges_per_device
+        # Read lazily in scrambled order; values must match the in-order pass.
         for device_id in (5, 0, 3):
-            for k in range(CONFIG.challenges_per_device):
+            for k in reversed(range(CONFIG.challenges_per_device)):
                 assert (
                     lazy.golden(device_id, k).tolist()
-                    == eager.store.get(device_id, k).tolist()
+                    == in_order[device_id * CONFIG.challenges_per_device + k]
                 )
-        assert len(eager.store) == CONFIG.devices * CONFIG.challenges_per_device
+        assert len(lazy.store) == 3 * CONFIG.challenges_per_device
 
     def test_verify_genuine_and_impostor(self):
         fleet, verifier = fresh_runtime()
@@ -292,11 +218,6 @@ class TestFleetVerifier:
         response = fleet.device(0).evaluate(challenge, 30.0, rng=fleet.traffic_rng(0))
         with pytest.raises(ValueError, match="acceptance_threshold"):
             verifier.verify(0, 0, response, acceptance_threshold=1.5)
-
-    def test_enroll_range_validation(self):
-        _, verifier = fresh_runtime()
-        with pytest.raises(ValueError, match="device range"):
-            verifier.enroll_range(0, CONFIG.devices + 1)
 
     def test_golden_many_lazily_enrolls_and_matches_scalar(self):
         _, batch = fresh_runtime()
@@ -333,24 +254,6 @@ class TestFleetVerifier:
         ]
         assert similarities.tolist() == expected  # bit-identical floats
 
-    def test_warm_store_equals_lazy_enrollment(self):
-        payload = FleetEnrollJob(
-            fleet_seed=11, devices=8, puf="CODIC-sig PUF", challenges_per_device=2
-        ).run()
-        warm_fleet, warm = fresh_runtime()
-        installed = warm.warm(payload)
-        assert installed == len(warm.store) == 8 * 2
-        lazy_fleet, lazy = fresh_runtime()
-        warm_result = authenticate_block(warm_fleet, warm, TRAFFIC, 0, 24)
-        lazy_result = authenticate_block(lazy_fleet, lazy, TRAFFIC, 0, 24)
-        assert warm_result[0].tolist() == lazy_result[0].tolist()
-        assert warm_result[1].tolist() == lazy_result[1].tolist()
-        # The warmed store was complete: traffic enrolled nothing further,
-        # and warming again is a no-op.
-        assert len(warm.store) == 8 * 2
-        assert warm.warm(payload) == 0
-
-
 class TestTraffic:
     def test_traffic_config_validation(self):
         with pytest.raises(ValueError, match="requests"):
@@ -363,7 +266,20 @@ class TestTraffic:
             TrafficConfig(aging_horizon_hours=-1.0)
         with pytest.raises(ValueError, match="reenroll_hours"):
             TrafficConfig(reenroll_hours=-1.0)
-        assert TrafficConfig.from_config(TRAFFIC.to_config()) == TRAFFIC
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "impostor_ratio",
+            "temperature_jitter_c",
+            "aging_horizon_hours",
+            "reenroll_hours",
+        ],
+    )
+    def test_traffic_config_refuses_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrafficConfig(**{name: value})
 
     def test_block_matches_per_request_replay(self):
         fleet, verifier = fresh_runtime()
@@ -552,74 +468,20 @@ class TestFleetTrafficJob:
         outcomes = run_sharded([job], shard_size=7, workers=2)
         assert outcomes[0].value == serial
 
-    def enroll_payload(self):
-        return FleetEnrollJob(
-            fleet_seed=11, devices=8, puf="CODIC-sig PUF", challenges_per_device=2
-        ).run()
-
-    def test_warm_golden_is_an_execution_hint_not_config(self):
-        plain = traffic_job()
-        warm = traffic_job(warm_golden=self.enroll_payload())
-        # Same work, same cache key, same equality: the payload only decides
-        # *who* evaluates the goldens, never what any request records.
-        assert warm.config == plain.config
-        assert warm == plain
-        assert "warm_golden" not in repr(warm)
-
-    def test_warm_golden_run_bit_identical(self):
-        warm = traffic_job(warm_golden=self.enroll_payload())
-        assert warm.run() == traffic_job().run()
-
-    def test_warm_golden_propagates_to_shards(self):
-        warm = traffic_job(warm_golden=self.enroll_payload())
-        shards = warm.shard_jobs(7)
-        serial = traffic_job().run()
-        assert warm.merge([shard.run() for shard in shards]) == serial
-        assert run_sharded([warm], shard_size=7, workers=2)[0].value == serial
-
-
-class TestFleetEnrollJob:
-    def test_sharded_enrollment_matches_serial(self):
-        job = FleetEnrollJob(
-            fleet_seed=11, devices=8, puf="CODIC-sig PUF", challenges_per_device=2
-        )
-        serial = job.run()
-        # run() produces the in-process arrays form (no Python-int lists on
-        # the worker handoff path); listification happens only in encode().
-        assert all(isinstance(serial[key], np.ndarray) for key in serial)
-        shards = job.shard_jobs(3)
-        assert [shard.shard_range() for shard in shards] == [(0, 3), (3, 6), (6, 8)]
-        merged = job.merge([shard.run() for shard in shards])
-        assert job.encode(merged) == job.encode(serial)
-        # The payload rehydrates into a store covering every slot.
-        store = GoldenStore.from_payload(serial)
-        assert len(store) == 8 * 2
-
-    def test_encode_decode_roundtrip_through_json(self):
-        job = FleetEnrollJob(
-            fleet_seed=11, devices=8, puf="CODIC-sig PUF", challenges_per_device=2
-        )
-        value = job.run()
-        encoded = job.encode(value)
-        # The encoded form is pure JSON (what the cache and daemon persist).
-        decoded = job.decode(json.loads(json.dumps(encoded)))
-        assert job.encode(decoded) == encoded
-        assert decoded["keys"].dtype == np.int64
-
-    def test_enrollment_matches_verifier_goldens(self):
-        job = FleetEnrollJob(
-            fleet_seed=11, devices=8, puf="CODIC-sig PUF", challenges_per_device=2
-        )
-        store = GoldenStore.from_payload(job.run())
-        _, verifier = fresh_runtime()
-        assert store.get(6, 1).tolist() == verifier.golden(6, 1).tolist()
-
-    def test_shard_config_drops_total(self):
-        job = FleetEnrollJob(fleet_seed=11, devices=8, puf="CODIC-sig PUF")
-        shard = job.shard_jobs(4)[0]
-        assert "devices" not in shard.config
-        assert job.shard_jobs(8) is None
-
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"requests": 0}, "requests must be positive"),
+            ({"impostor_ratio": 5.0}, "impostor_ratio"),
+            ({"puf": "nope"}, "unknown PUF"),
+            ({"temperature_jitter_c": float("nan")}, "temperature_jitter_c"),
+            ({"devices": 1}, "at least two devices"),
+        ],
+    )
+    def test_construction_refuses_bad_configs(self, overrides, message):
+        # Refused where the job is made, never inside a pool worker.
+        with pytest.raises(ValueError, match=message):
+            traffic_job(**overrides)
 
 class TestFleetExperiments:
     def test_fleet_roc_table_shape(self):
@@ -732,22 +594,6 @@ class TestFleetCLI:
         assert "auth latency p99 (ms)" in out
         assert "auths/sec" in out
 
-    def test_json_deterministic_with_warm_store(self, capsys):
-        base = ["fleet", "--devices", "8", "--requests", "16", "--seed", "11",
-                "--json", "--no-daemon"]
-        code, plain, _ = self.run_cli(base, capsys)
-        assert code == 0
-        code, warm, err = self.run_cli(base + ["--warm-store"], capsys)
-        assert code == 0
-        assert "warm store enrolled" in err
-        assert self.deterministic(plain) == self.deterministic(warm)
-        # Warm store with a sharded worker pool: payload travels to workers.
-        code, warm_sharded, _ = self.run_cli(
-            base + ["--warm-store", "--jobs", "2", "--shard-size", "5"], capsys
-        )
-        assert code == 0
-        assert self.deterministic(plain) == self.deterministic(warm_sharded)
-
     def test_json_scalar_path_matches_batched(self, capsys):
         """The CLI's batched replay reports exactly what a direct replay of
         the same stream through the scalar reference kernel gives."""
@@ -788,3 +634,19 @@ class TestFleetCLI:
         code, _, err = self.run_cli(argv, capsys)
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            ("--temperature-jitter", "temperature_jitter_c"),
+            ("--aging-horizon", "aging_horizon_hours"),
+            ("--reenroll", "reenroll_hours"),
+        ],
+    )
+    def test_non_finite_value_exits_2_before_any_replay(self, flag, name, capsys):
+        code, out, err = self.run_cli(
+            ["fleet", "--devices", "8", "--requests", "16", flag, "nan"], capsys
+        )
+        assert code == 2
+        assert f"{name} must be finite and non-negative, got nan" in err
+        assert out == "" and "auths/sec" not in err

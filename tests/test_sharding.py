@@ -20,7 +20,6 @@ import pytest
 from repro.circuit.montecarlo import MC_SAMPLE_BLOCK, MonteCarloEngine
 from repro.engine import (
     ExperimentJob,
-    FleetEnrollJob,
     MonteCarloPointJob,
     PUFPairsJob,
     RangeShard,
@@ -143,7 +142,7 @@ def _identity_rows(job, shard_size: int, rows: list) -> None:
 def shard_identity_document() -> str:
     """``tests/golden/shard_ids.json``: one ``[kind, job_id, config,
     shard_range]`` row per unit job or shard -- every shard plan's quick unit
-    jobs at shard size 60, plus a small fleet enrollment at shard size 3.
+    jobs at shard size 60.
 
     These four fields are what cache keys and ``--stream``/daemon event
     frames are built from, so any drift here silently orphans cached shards
@@ -153,10 +152,6 @@ def shard_identity_document() -> str:
     for plan in SHARD_PLANS.values():
         for unit in plan.unit_jobs(True):
             _identity_rows(unit, 60, rows)
-    enroll = FleetEnrollJob(
-        fleet_seed=11, devices=8, puf="CODIC-sig PUF", challenges_per_device=2
-    )
-    _identity_rows(enroll, 3, rows)
     return "[\n" + ",\n".join(canonical_json(row) for row in rows) + "\n]\n"
 
 
@@ -170,7 +165,6 @@ class TestShardIdentity:
             "montecarlo-point", "montecarlo-shard",
             "puf-pairs", "puf-pairs-shard",
             "fleet-traffic", "fleet-traffic-shard",
-            "fleet-enroll", "fleet-enroll-shard",
         }
 
 

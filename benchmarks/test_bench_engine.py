@@ -24,7 +24,6 @@ from repro.engine import (
     PUFPairsJob,
     ResultCache,
     monte_carlo_grid,
-    run_jobs,
     run_sharded,
 )
 
@@ -57,7 +56,7 @@ SWEEP_TEMPERATURES = [30.0, 85.0]
 def test_bench_engine_cold_cache(run_once, tmp_path):
     jobs = [ExperimentJob(experiment_id) for experiment_id in FAST_EXPERIMENTS]
     cache = ResultCache(tmp_path)
-    outcomes = run_once(run_jobs, jobs, cache=cache)
+    outcomes = run_once(run_sharded, jobs, cache=cache)
     assert len(outcomes) == len(FAST_EXPERIMENTS)
     assert not any(outcome.cached for outcome in outcomes)
     assert cache.stats.stores == len(FAST_EXPERIMENTS)
@@ -66,8 +65,8 @@ def test_bench_engine_cold_cache(run_once, tmp_path):
 def test_bench_engine_warm_cache(run_once, tmp_path):
     jobs = [ExperimentJob(experiment_id) for experiment_id in FAST_EXPERIMENTS]
     cache = ResultCache(tmp_path)
-    cold = run_jobs(jobs, cache=cache)
-    outcomes = run_once(run_jobs, jobs, cache=cache)
+    cold = run_sharded(jobs, cache=cache)
+    outcomes = run_once(run_sharded, jobs, cache=cache)
     assert all(outcome.cached for outcome in outcomes)
     for left, right in zip(cold, outcomes):
         assert left.value == right.value

@@ -8,14 +8,16 @@ The engine is the substrate every scaling feature builds on:
   split/merge protocol and :class:`RangeJob`, the one shape every range-split
   job shares (its shards are :class:`RangeShard` unit ranges), and the names
   of the events a job passes through;
-* :mod:`repro.engine.executor` -- the :class:`JobEvent` stream
-  (:func:`iter_jobs`) over serial / ``ProcessPoolExecutor`` execution, with
-  :func:`run_jobs` as the drain-the-stream wrapper (progress reporting,
-  fail-fast error aggregation, submission-order outcomes);
-* :mod:`repro.engine.sharding` -- :func:`iter_sharded`/:func:`run_sharded`,
-  which expand sharded jobs so that the work *inside* one job (Monte Carlo
-  samples, Jaccard pairs) fans out across the same pool and merges the
-  moment each job's last shard lands, bit-identical to a serial run;
+* :mod:`repro.engine.executor` -- :func:`iter_jobs`, the :class:`JobEvent`
+  stream over serial or supervised process-pool execution
+  (:class:`PoolSupervisor`), which stops at the first failure and drains
+  in-flight work into the cache;
+* :mod:`repro.engine.sharding` -- :func:`iter_sharded`, the engine's one
+  stream, which expands sharded jobs so that the work *inside* one job
+  (Monte Carlo samples, Jaccard pairs) fans out across the same pool and
+  merges the moment each job's last shard lands, bit-identical to a serial
+  run; and :func:`run_sharded`, its one drain (submission-order outcomes,
+  :class:`EngineError` on failure);
 * :mod:`repro.engine.client` -- the daemon's wire protocol and its client
   side (:class:`DaemonClient`, :func:`start_daemon`, :func:`stop_daemon`),
   loading only the standard library;
@@ -35,8 +37,8 @@ executor or ``concurrent.futures``.
 
 Quickstart
 ----------
->>> from repro.engine import ExperimentJob, ResultCache, run_jobs
->>> outcomes = run_jobs([ExperimentJob("table2")], workers=1)
+>>> from repro.engine import ExperimentJob, run_sharded
+>>> outcomes = run_sharded([ExperimentJob("table2")])
 >>> outcomes[0].value.experiment_id
 'table2'
 """
@@ -62,7 +64,6 @@ _EXPORTS = {
     "JobOutcome": "repro.engine.executor",
     "PoolSupervisor": "repro.engine.executor",
     "iter_jobs": "repro.engine.executor",
-    "run_jobs": "repro.engine.executor",
     "FAULTS_ENV": "repro.engine.faults",
     "FaultInjector": "repro.engine.faults",
     "FaultPlan": "repro.engine.faults",

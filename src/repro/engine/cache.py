@@ -15,8 +15,8 @@ for the CLI's summary line and the acceptance tests.
 
 The store is bounded on request rather than on every write: :meth:`prune`
 evicts least-recently-used blobs (every hit refreshes its blob's mtime)
-until the directory fits a byte budget.  The CLI exposes this as
-``--cache-max-mb`` after a run and as the ``cache-prune`` subcommand.
+until the directory fits a byte budget.  The CLI exposes this as the
+``cache-prune`` subcommand.
 """
 
 from __future__ import annotations

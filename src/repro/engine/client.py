@@ -18,7 +18,9 @@ Requests (client -> daemon): ``submit`` is the one work op.  Its ``jobs``
 field lists root job specs, ``{"kind": job.kind, "config": job.config}``
 -- the identity that keys the cache -- from which the daemon rebuilds
 ``experiment`` and ``fleet-traffic`` jobs, refusing any config field outside
-that identity.  It answers with one ``event`` frame per
+that identity; its other fields (``shard_size``, ``code_version``,
+``timeout_s``, ``request_id``, ``trace_id``, ``parent_span``) are optional.
+It answers with one ``event`` frame per
 :class:`~repro.engine.executor.JobEvent` as shards land, then a ``done``
 frame carrying ``hits``, ``misses``, ``memory_hits``, ``elapsed_s`` and
 ``latency`` (the auth-latency histogram recorded while the request ran).
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import signal
 import socket
 import sys
@@ -169,9 +170,8 @@ class DaemonClient:
     when called.  ``timeout`` bounds every read on
     an established stream (a wedged daemon cannot hang the client forever);
     ``connect_timeout`` bounds the initial connect separately so liveness
-    probes stay fast.  One-shot requests can opt into jittered retry-backoff
-    on transient errors (refused accepts, truncated responses) via
-    ``retries``.
+    probes stay fast.  A one-shot request that fails raises
+    :class:`DaemonError`; retrying a routed call is the CLI's policy.
     """
 
     def __init__(
@@ -213,40 +213,18 @@ class DaemonClient:
         except OSError as error:
             raise DaemonError(f"daemon connection failed: {error}") from None
 
-    def request(
-        self,
-        message: dict[str, Any],
-        *,
-        retries: int = 0,
-        backoff_s: float = 0.05,
-    ) -> dict[str, Any]:
-        """One-shot request returning the single response frame.
-
-        With ``retries`` transient failures (connection refused/reset,
-        truncated response) are retried after exponential backoff with full
-        jitter -- ``uniform(0, backoff_s * 2**attempt)`` -- so a burst of
-        retrying clients does not stampede the daemon in lockstep.
-        """
-        attempt = 0
-        while True:
-            try:
-                response = next(self._frames(message), None)
-                if response is None:
-                    raise DaemonError("daemon closed the connection without responding")
-                return response
-            except DaemonError:
-                if attempt >= retries:
-                    raise
-                time.sleep(random.uniform(0, backoff_s * (2 ** attempt)))
-                attempt += 1
+    def request(self, message: dict[str, Any]) -> dict[str, Any]:
+        """One-shot request returning the single response frame."""
+        response = next(self._frames(message), None)
+        if response is None:
+            raise DaemonError("daemon closed the connection without responding")
+        return response
 
     def work(
         self,
         jobs: list[dict[str, Any]],
         *,
         shard_size: int | None = None,
-        ordered: bool = False,
-        fail_fast: bool = True,
         code_version: str | None = None,
         timeout_s: float | None = None,
         request_id: str | None = None,
@@ -279,8 +257,6 @@ class DaemonClient:
             "op": "submit",
             "jobs": list(jobs),
             "shard_size": shard_size,
-            "ordered": ordered,
-            "fail_fast": fail_fast,
             "code_version": code_version,
             "timeout_s": timeout_s,
             "request_id": request_id,

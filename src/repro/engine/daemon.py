@@ -309,8 +309,6 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:  # pragma: no cover - exercised via the client
         daemon: ExperimentDaemon = self.server.daemon  # type: ignore[attr-defined]
-        if daemon.faults.on_connection():
-            return  # injected accept refusal: close without responding
         try:
             self._handle(daemon)
         except _ClientGone:
@@ -675,8 +673,6 @@ class _Handler(socketserver.StreamRequestHandler):
             shard_size=request.get("shard_size"),
             workers=daemon.workers,
             cache=daemon.cache,
-            fail_fast=bool(request.get("fail_fast", True)),
-            ordered=bool(request.get("ordered", False)),
             pool=daemon.supervisor,
             cancel=token,
         ):

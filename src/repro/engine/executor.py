@@ -2,28 +2,25 @@
 
 :func:`iter_jobs` is the execution core: a generator that schedules jobs,
 resolves cache hits in the parent process, executes the misses either inline
-(``workers <= 1``) or on a ``ProcessPoolExecutor``, stores fresh results back
-into the cache, and yields a :class:`JobEvent` for every state transition --
+(``workers <= 1``) or on a process pool, stores fresh results back into the
+cache, and yields a :class:`JobEvent` for every state transition --
 ``scheduled``, ``started``, ``cached``, ``finished``, ``failed`` -- the
-moment it happens, in completion order.  Streaming consumers (the CLI's
-``--stream`` mode, the daemon protocol) forward these events as they land.
+moment it happens, in completion order.  It is the leaf stage of
+:func:`repro.engine.sharding.iter_sharded`, the engine's one stream, which
+:func:`~repro.engine.sharding.run_sharded` drains into submission-order
+outcomes.  The first failure ends a stream: queued jobs are cancelled while
+in-flight jobs drain into the cache.
 
-:func:`run_jobs` is a thin drain-the-stream wrapper that restores the
-original call-and-wait contract: outcomes come back in submission order, so
-a parallel run is observationally identical to a serial one (byte-identical
-``--json`` output is an acceptance criterion), and with ``fail_fast`` the
-first failure raises :class:`EngineError` after in-flight work drains.
-
-Both entry points accept an external ``pool`` so a long-lived process pool
-(the daemon's) can be reused across invocations without spin-up cost.  For
-service use the pool is wrapped in a :class:`PoolSupervisor`: a killed
-worker breaks a ``ProcessPoolExecutor`` permanently, so the supervisor
-rebuilds it transparently and :func:`iter_jobs` retries the interrupted
-jobs (pure functions of their config, so retried results are bit-identical)
-with exponential backoff up to a retry budget.  A :class:`CancelToken`
-threads cooperative cancellation/deadlines through the stream: queued jobs
-are cancelled, in-flight jobs drain into the cache, and the stream ends
-without terminal events for the abandoned work.
+Every pool is a :class:`PoolSupervisor`: a killed worker breaks a
+``ProcessPoolExecutor`` permanently, so the supervisor rebuilds it and
+:func:`iter_jobs` retries the interrupted jobs (pure functions of their
+config, so retried results are bit-identical) with exponential backoff up
+to the supervisor's attempt budget.  A stream that owns its pool allows one
+attempt; the daemon passes in its long-lived supervisor, which serves many
+streams without spin-up cost and retries.  A :class:`CancelToken` threads
+cooperative cancellation/deadlines through the stream: queued jobs are
+cancelled, in-flight jobs drain into the cache, and the stream ends without
+terminal events for the abandoned work.
 """
 
 from __future__ import annotations
@@ -34,12 +31,11 @@ import traceback
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
-    Executor,
     ProcessPoolExecutor,
     wait,
 )
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro import telemetry
 from repro.engine import faults
@@ -68,13 +64,6 @@ class JobOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    def describe(self) -> str:
-        """One-line progress summary (``table2  0.123s``, ``fig7  cached``)."""
-        status = "cached" if self.cached else f"{self.duration_s:.3f}s"
-        if not self.ok:
-            status = "FAILED"
-        return f"{self.job.job_id}  {status}"
 
 
 @dataclass(frozen=True)
@@ -149,10 +138,6 @@ class EngineError(RuntimeError):
         return "\n".join(sections)
 
 
-#: Progress callback signature: (index_1_based, total, outcome).
-ProgressFn = Callable[[int, int, JobOutcome], None]
-
-
 class CancelToken:
     """Cooperative cancellation flag with an optional monotonic deadline.
 
@@ -218,10 +203,6 @@ class PoolSupervisor:
         self._lock = threading.Lock()
         self._pool = ProcessPoolExecutor(max_workers=self.workers)
         self.rebuilds = 0
-
-    @property
-    def pool(self) -> ProcessPoolExecutor:
-        return self._pool
 
     def submit(self, fn, /, *args, **kwargs):
         while True:
@@ -336,8 +317,7 @@ def iter_jobs(
     *,
     workers: int = 1,
     cache: ResultCache | None = None,
-    fail_fast: bool = True,
-    pool: "Executor | PoolSupervisor | None" = None,
+    pool: PoolSupervisor | None = None,
     cancel: CancelToken | None = None,
 ) -> Iterator[JobEvent]:
     """Yield a :class:`JobEvent` per state transition, in completion order.
@@ -345,27 +325,29 @@ def iter_jobs(
     Every job gets a ``scheduled`` event up front (cache hits settle
     immediately with ``cached``), a ``started`` event when it is handed to
     execution -- inline runs emit it as the job begins; pool runs emit it at
-    submission, so a queued job later cancelled by fail-fast shows
+    submission, so a queued job later cancelled by a failure shows
     ``started`` with no terminal event -- and at most one terminal
-    ``finished``/``failed`` event as it completes.  ``workers <= 1`` runs
-    inline; otherwise misses fan out across a process pool.  Passing
-    ``pool`` reuses an external executor (it is never shut down here), so a
-    warm daemon pool serves many streams.
+    ``finished``/``failed`` event as it completes.  ``workers <= 1`` or a
+    single miss runs inline; otherwise misses fan out across a
+    ``PoolSupervisor(min(workers, misses), max_attempts=1)`` that this
+    stream owns and shuts down.  Passing ``pool`` reuses an external
+    supervisor (never shut down here), so a warm daemon pool serves many
+    streams.
 
-    With ``fail_fast`` (the default) the first failure cancels queued jobs --
-    cancelled jobs emit *no* terminal event -- while in-flight jobs drain to
-    completion so their results still land in the cache.  The stream simply
-    ends after the drain; raising is the caller's policy (:func:`run_jobs`).
+    The first failure cancels queued jobs -- cancelled jobs emit *no*
+    terminal event -- while in-flight jobs drain to completion so their
+    results still land in the cache.  The stream simply ends after the
+    drain; raising is the caller's policy
+    (:func:`~repro.engine.sharding.run_sharded`).
 
-    When ``pool`` is a :class:`PoolSupervisor`, a job interrupted by a
-    worker crash (``BrokenExecutor``) is resubmitted to the healed pool
-    after exponential backoff, up to ``supervisor.max_attempts`` total
-    attempts; only then does it settle as ``failed``.  Retries emit no extra
-    ``started`` events and other jobs are unaffected.
+    A job interrupted by a worker crash (``BrokenExecutor``) is resubmitted
+    to the healed pool after exponential backoff, up to the supervisor's
+    ``max_attempts`` total attempts; only then does it settle as ``failed``.
+    Retries emit no extra ``started`` events and other jobs are unaffected.
 
     A ``cancel`` token (checked between inline jobs and on every pool wait
     round, including its deadline) ends the stream early with the same drain
-    semantics as fail-fast: queued futures are cancelled and emit nothing,
+    semantics as a failure: queued futures are cancelled and emit nothing,
     in-flight results still land in the cache.
     """
     jobs = list(jobs)
@@ -403,21 +385,14 @@ def iter_jobs(
                 ).inc()
             kind = FINISHED if outcome.ok else FAILED
             yield JobEvent(kind, job, index, total, outcome)
-            if not outcome.ok and fail_fast:
+            if not outcome.ok:
                 return
         return
 
-    owned = pool is None
-    supervisor = pool if isinstance(pool, PoolSupervisor) else None
-    executor: Executor | None
-    if supervisor is not None:
-        executor = None
-    elif pool is not None:
-        executor = pool
-    else:
-        executor = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
-    submit = supervisor.submit if supervisor is not None else executor.submit
-    max_attempts = supervisor.max_attempts if supervisor is not None else 1
+    supervisor = (
+        pool if pool is not None
+        else PoolSupervisor(min(workers, len(pending)), max_attempts=1)
+    )
     try:
         futures: dict[Any, int] = {}
         attempts: dict[int, int] = {}
@@ -430,7 +405,7 @@ def iter_jobs(
             context = (
                 (parent_span, time.time(), trace, trace_id) if reg is not None else None
             )
-            futures[submit(_pool_run, jobs[index], context)] = index
+            futures[supervisor.submit(_pool_run, jobs[index], context)] = index
 
         def _harvest(future, index: int) -> JobEvent:
             """Fold one successful future into the cache; terminal event."""
@@ -450,7 +425,7 @@ def iter_jobs(
         failed = False
         while futures:
             if cancel is not None and cancel.poll():
-                # Same drain contract as fail-fast: queued work is cancelled
+                # Same drain contract as a failure: queued work is cancelled
                 # silently, in-flight results still land in the cache (a
                 # retried request after a timeout reuses them); crash
                 # casualties of the abandoned request are simply dropped.
@@ -478,10 +453,10 @@ def iter_jobs(
                     continue
                 except BrokenExecutor:
                     # The worker running (or queued to run) this job was
-                    # killed; the pool is broken.  With a supervisor the
-                    # resubmit below heals it and the retried job returns a
-                    # bit-identical result (jobs are pure).
-                    if supervisor is not None and attempts[index] < max_attempts:
+                    # killed; the pool is broken.  The resubmit below heals
+                    # it and the retried job returns a bit-identical result
+                    # (jobs are pure).
+                    if attempts[index] < supervisor.max_attempts:
                         if reg is not None:
                             reg.counter(telemetry.ENGINE_JOB_RETRIES).inc()
                         if not slept_this_round:
@@ -507,53 +482,15 @@ def iter_jobs(
                     outcome = JobOutcome(job=job, error=traceback.format_exc())
                     yield JobEvent(FAILED, job, index, total, outcome)
                     continue
-            if failed and fail_fast:
+            if failed:
                 # Queued (not-yet-started) jobs are cancelled but in-flight
                 # jobs drain to completion so their results still land in the
                 # cache -- a retry after fixing the failure reuses them.
                 for future in futures:
                     future.cancel()
     finally:
-        if owned:
-            executor.shutdown()
-
-
-def run_jobs(
-    jobs: Sequence[Job],
-    *,
-    workers: int = 1,
-    cache: ResultCache | None = None,
-    progress: ProgressFn | None = None,
-    fail_fast: bool = True,
-    pool: "Executor | PoolSupervisor | None" = None,
-    cancel: CancelToken | None = None,
-) -> list[JobOutcome]:
-    """Execute ``jobs`` and return their outcomes in submission order.
-
-    Thin wrapper that drains :func:`iter_jobs`: terminal events are reported
-    through ``progress`` as they land and re-ordered into submission order.
-    With ``fail_fast`` (the default) failures raise :class:`EngineError`
-    after in-flight work drains; otherwise failed outcomes are returned
-    alongside successful ones with ``error`` set.
-    """
-    jobs = list(jobs)
-    total = len(jobs)
-    outcomes: list[JobOutcome | None] = [None] * total
-    done = 0
-    for event in iter_jobs(
-        jobs, workers=workers, cache=cache, fail_fast=fail_fast, pool=pool,
-        cancel=cancel,
-    ):
-        if not event.terminal:
-            continue
-        outcomes[event.index] = event.outcome
-        done += 1
-        if progress is not None:
-            progress(done, total, event.outcome)
-    failures = [outcome for outcome in outcomes if outcome is not None and not outcome.ok]
-    if failures and fail_fast:
-        raise EngineError(failures)
-    return [outcome for outcome in outcomes if outcome is not None]
+        if pool is None:
+            supervisor.shutdown(wait=True, cancel_futures=False)
 
 
 def _run_one(

@@ -2,11 +2,10 @@
 
 A *fault plan* is a frozen description of which faults to fire and when,
 parsed once from the ``$REPRO_FAULTS`` environment variable (a JSON object)
-or constructed directly in tests.  Every fault site draws from the plan's
-seeded schedule -- ordinals, budgets, and a ``random.Random(seed)`` stream
-for fractional faults -- so a chaos run is reproducible: the same plan
-against the same workload fires the same faults at the same sites.  The
-injector never touches numpy RNG state, so it cannot perturb experiment
+or constructed directly in tests.  Every fault site fires on a fixed
+schedule of ordinals and budgets, so a chaos run is reproducible: the same
+plan against the same workload fires the same faults at the same sites.
+The injector draws no random numbers, so it cannot perturb experiment
 output; recovery paths are expected to converge on byte-identical results
 (jobs are pure, corrupt cache blobs are evicted as misses and recomputed).
 
@@ -27,9 +26,6 @@ Fault sites wired through the codebase:
   client-gone reap and the CLI retry path.
 * **delay frames** (``delay_frame_s``) -- every daemon frame send sleeps
   first; used by tests to hold requests in flight deterministically.
-* **refuse a fraction of accepts** (``refuse_accept_fraction``) -- each new
-  daemon connection draws from the seeded stream and is closed without a
-  response with the given probability, exercising client retry-backoff.
 * **corrupt a cache blob** (``corrupt_cache_store``) -- the Nth
   :meth:`~repro.engine.cache.ResultCache.put` in the process garbles the
   blob on disk after the atomic rename; the next ``get`` must evict it as a
@@ -43,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import threading
 import time
 from dataclasses import dataclass
@@ -63,15 +58,12 @@ KILLED_WORKER_EXIT = 75
 class FaultPlan:
     """Frozen, validated description of one chaos run's faults."""
 
-    seed: int = 0
     state_dir: str | None = None
     kill_worker_on_job: int | None = None
     kill_budget: int = 1
     drop_connection_after_frames: int | None = None
     drop_budget: int = 1
     delay_frame_s: float = 0.0
-    refuse_accept_fraction: float = 0.0
-    refuse_budget: int | None = None
     corrupt_cache_store: int | None = None
     corrupt_budget: int = 1
 
@@ -85,17 +77,6 @@ class FaultPlan:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative int, got {value!r}")
-        if self.refuse_budget is not None and (
-            not isinstance(self.refuse_budget, int) or self.refuse_budget < 0
-        ):
-            raise ValueError(
-                f"refuse_budget must be a non-negative int, got {self.refuse_budget!r}"
-            )
-        if not 0.0 <= float(self.refuse_accept_fraction) <= 1.0:
-            raise ValueError(
-                "refuse_accept_fraction must be in [0, 1], "
-                f"got {self.refuse_accept_fraction!r}"
-            )
         if float(self.delay_frame_s) < 0.0:
             raise ValueError(f"delay_frame_s must be >= 0, got {self.delay_frame_s!r}")
         if self.kill_worker_on_job is not None and not self.state_dir:
@@ -129,15 +110,14 @@ class FaultPlan:
 class FaultInjector:
     """Runtime state for one process's fault plan (``plan=None`` no-ops).
 
-    Ordinal counters (frames per connection, cache stores, refusal draws)
-    are process-local and lock-protected; the worker-kill ordinal is global
-    across processes via ``O_EXCL`` token files in ``plan.state_dir``.
+    The cache-store ordinal is process-local and lock-protected; the
+    worker-kill ordinal is global across processes via ``O_EXCL`` token
+    files in ``plan.state_dir``.
     """
 
     def __init__(self, plan: FaultPlan | None):
         self.plan = plan
         self._lock = threading.Lock()
-        self._rng = random.Random(plan.seed) if plan is not None else None
         self._counts: dict[str, int] = {}
         #: site name -> number of times that fault actually fired.
         self.fired: dict[str, int] = {}
@@ -207,21 +187,6 @@ class FaultInjector:
         ):
             self._fire("kill_worker")
             os._exit(KILLED_WORKER_EXIT)
-
-    def on_connection(self) -> bool:
-        """``True`` when this freshly accepted connection must be refused."""
-        plan = self.plan
-        if plan is None or plan.refuse_accept_fraction <= 0.0:
-            return False
-        with self._lock:
-            refuse = self._rng.random() < plan.refuse_accept_fraction
-            if refuse and plan.refuse_budget is not None:
-                used = self.fired.get("refuse_accept", 0)
-                if used >= plan.refuse_budget:
-                    return False
-        if refuse:
-            self._fire("refuse_accept")
-        return refuse
 
     def on_frame_send(self, frames_sent: int) -> bool:
         """Applied before each daemon frame send; ``True`` = drop connection.

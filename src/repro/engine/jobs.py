@@ -143,6 +143,14 @@ class ExperimentJob(ShardedJob):
 
     kind = "experiment"
 
+    def __post_init__(self) -> None:
+        # Refuse a mistyped field where the job is made (a daemon submit),
+        # not cache its run under a key of its own or fail in a worker.
+        if not isinstance(self.experiment_id, str):
+            raise TypeError(f"experiment_id must be a str, got {self.experiment_id!r}")
+        if not isinstance(self.quick, bool):
+            raise TypeError(f"quick must be a bool, got {self.quick!r}")
+
     @property
     def job_id(self) -> str:
         return self.experiment_id

@@ -9,12 +9,13 @@ share one process pool and each shard hits the content-addressed cache
 individually -- and keeps *incremental merge state per parent job*: the
 moment a parent's last outstanding shard lands, its children merge and the
 parent's ``finished`` event is emitted, in completion order, with no global
-barrier.  ``ordered=True`` gates top-level completion events back into
-submission order for deterministic streaming output.
+barrier.  It is the engine's one stream: the CLI renders it and the daemon
+forwards it frame by frame.
 
-:func:`run_sharded` drains the stream and returns one merged
+:func:`run_sharded` is its one drain: it returns one merged
 :class:`~repro.engine.executor.JobOutcome` per submitted job, in submission
-order -- the original call-and-wait contract.
+order, and raises :class:`~repro.engine.executor.EngineError` when a job
+failed -- the call-and-wait contract of the registry, sweeps and fleet CLI.
 
 Because every leaf owns a partition-independent RNG stream, merged outcomes
 are bit-identical to a serial ``run()`` for every ``shard_size`` and worker
@@ -34,7 +35,6 @@ Cache interaction:
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -45,7 +45,6 @@ from repro.engine.executor import (
     JobEvent,
     JobOutcome,
     PoolSupervisor,
-    ProgressFn,
     EngineError,
     _active_registry,
     iter_jobs,
@@ -93,7 +92,9 @@ def _merge_outcome(node: _Node, cache: ResultCache | None) -> JobOutcome:
     """Fold the (fully settled) children of ``node`` into its own outcome."""
     child_outcomes = [child.outcome for child in node.children]
     failures = [outcome for outcome in child_outcomes if not outcome.ok]
-    if failures:  # only reachable with fail_fast=False
+    if failures:
+        # The parent's last outstanding child settled after a sibling failed
+        # (or was itself the failure): fail the parent and merge nothing.
         errors = "\n".join(
             f"[{outcome.job.job_id}] {outcome.error}" for outcome in failures
         )
@@ -144,107 +145,76 @@ def _propagate(
         current = parent
 
 
-def _ordered_gate(
-    events: Iterator[JobEvent], roots: Sequence[Job]
-) -> Iterator[JobEvent]:
-    """Re-emit top-level terminal events in submission order.
-
-    Non-root events (leaves, intermediate merges) flow through untouched in
-    completion order; each root's settling event is held until every earlier
-    root has settled.  Roots that never settle (fail-fast cancellations)
-    leave gaps, so whatever is still buffered flushes, in order, at the end.
-    """
-    position = {id(job): index for index, job in enumerate(roots)}
-    ready: dict[int, JobEvent] = {}
-    next_index = 0
-    for event in events:
-        if event.terminal and id(event.job) in position:
-            ready[position[id(event.job)]] = event
-            while next_index in ready:
-                yield ready.pop(next_index)
-                next_index += 1
-        else:
-            yield event
-    for index in sorted(ready):
-        yield ready[index]
-
-
 def iter_sharded(
     jobs: Sequence[Job],
     *,
     shard_size: int | None = None,
     workers: int = 1,
     cache: ResultCache | None = None,
-    fail_fast: bool = True,
-    ordered: bool = False,
-    pool: "Executor | PoolSupervisor | None" = None,
+    pool: PoolSupervisor | None = None,
     cancel: CancelToken | None = None,
 ) -> Iterator[JobEvent]:
     """Stream :class:`JobEvent` for a sharded run, merging incrementally.
 
     Leaf events (``scheduled``/``started``/``cached``/``finished``/
     ``failed``) carry leaf-cohort ``index``/``total``; a parent job's
-    ``finished`` event -- emitted the moment its last shard lands, with no
+    terminal event -- emitted the moment its last shard lands, with no
     barrier on sibling jobs -- carries ``index=None``.  Jobs cached at any
-    level settle with a ``cached`` event during expansion.  ``ordered=True``
-    holds top-level terminal events back into submission order (deterministic
-    output); everything else still streams in completion order.
+    level settle with a ``cached`` event during expansion.  Every event
+    streams in completion order.
 
     ``shard_size=None`` expands every job to a leaf with no children, so
     the run is exactly :func:`~repro.engine.executor.iter_jobs` over the
-    jobs themselves.  A ``cancel`` token cancels the underlying leaf stream;
-    parents whose shards were abandoned never merge and emit no terminal
-    event.
+    jobs themselves, on ``pool`` when one is given.  A leaf failure cancels
+    the queued leaves and the stream ends once in-flight leaves drain; a
+    parent whose last outstanding shard settles after a failure emits
+    ``failed``, and one whose shards were abandoned emits nothing.  A
+    ``cancel`` token cancels the leaf stream the same way.
     """
     jobs = list(jobs)
     if shard_size is not None and shard_size <= 0:
         raise ValueError(f"shard_size must be positive, got {shard_size}")
 
     roots = [_expand(job, shard_size, cache) for job in jobs]
+    parents: dict[int, _Node] = {}
+    remaining: dict[int, int] = {}
+    settled: list[_Node] = []
 
-    def stream() -> Iterator[JobEvent]:
-        parents: dict[int, _Node] = {}
-        remaining: dict[int, int] = {}
-        settled: list[_Node] = []
+    def index_tree(node: _Node) -> None:
+        if node.outcome is not None:
+            settled.append(node)
+            return
+        if node.children:
+            remaining[id(node)] = len(node.children)
+            for child in node.children:
+                parents[id(child)] = node
+                index_tree(child)
 
-        def index_tree(node: _Node) -> None:
-            if node.outcome is not None:
-                settled.append(node)
-                return
-            if node.children:
-                remaining[id(node)] = len(node.children)
-                for child in node.children:
-                    parents[id(child)] = node
-                    index_tree(child)
+    for root in roots:
+        index_tree(root)
 
-        for root in roots:
-            index_tree(root)
+    # Jobs served whole from the cache settle immediately -- and may
+    # complete parents outright when every sibling was also cached.
+    for node in settled:
+        yield JobEvent(CACHED, node.job, outcome=node.outcome)
+        yield from _propagate(node, parents, remaining, cache)
 
-        # Jobs served whole from the cache settle immediately -- and may
-        # complete parents outright when every sibling was also cached.
-        for node in settled:
-            yield JobEvent(CACHED, node.job, outcome=node.outcome)
-            yield from _propagate(node, parents, remaining, cache)
-
-        leaves: list[_Node] = []
-        for root in roots:
-            _leaves(root, leaves)
-        for event in iter_jobs(
-            [leaf.job for leaf in leaves],
-            workers=workers,
-            cache=cache,
-            fail_fast=fail_fast,
-            pool=pool,
-            cancel=cancel,
-        ):
-            yield event
-            if not event.terminal:
-                continue
-            leaf = leaves[event.index]
-            leaf.outcome = event.outcome
-            yield from _propagate(leaf, parents, remaining, cache)
-
-    yield from _ordered_gate(stream(), jobs) if ordered else stream()
+    leaves: list[_Node] = []
+    for root in roots:
+        _leaves(root, leaves)
+    for event in iter_jobs(
+        [leaf.job for leaf in leaves],
+        workers=workers,
+        cache=cache,
+        pool=pool,
+        cancel=cancel,
+    ):
+        yield event
+        if not event.terminal:
+            continue
+        leaf = leaves[event.index]
+        leaf.outcome = event.outcome
+        yield from _propagate(leaf, parents, remaining, cache)
 
 
 def run_sharded(
@@ -253,45 +223,26 @@ def run_sharded(
     shard_size: int | None = None,
     workers: int = 1,
     cache: ResultCache | None = None,
-    progress: ProgressFn | None = None,
-    fail_fast: bool = True,
-    ordered: bool = False,
-    pool: Executor | None = None,
 ) -> list[JobOutcome]:
     """Execute ``jobs``, splitting shardable ones into ``shard_size``-unit
     shards scheduled together on one pool; outcomes come back merged, in
     submission order, bit-identical to a serial run for any configuration.
 
-    Thin drain of :func:`iter_sharded`: progress is reported at leaf
-    granularity as events land, and with ``fail_fast`` (the default) leaf
-    failures raise :class:`~repro.engine.executor.EngineError` after
-    in-flight shards drain into the cache.
+    The drain of :func:`iter_sharded`: a leaf failure raises
+    :class:`~repro.engine.executor.EngineError` naming the failed leaves,
+    after in-flight shards drain into the cache.
     """
     jobs = list(jobs)
-    position: dict[int, list[int]] = {}
-    for index, job in enumerate(jobs):
-        position.setdefault(id(job), []).append(index)
+    roots = {id(job) for job in jobs}
     outcomes: dict[int, JobOutcome] = {}
     failures: list[JobOutcome] = []
-    done = 0
-    for event in iter_sharded(
-        jobs,
-        shard_size=shard_size,
-        workers=workers,
-        cache=cache,
-        fail_fast=fail_fast,
-        ordered=ordered,
-        pool=pool,
-    ):
+    for event in iter_sharded(jobs, shard_size=shard_size, workers=workers, cache=cache):
         if not event.terminal:
             continue
-        if event.total is not None and progress is not None:
-            done += 1
-            progress(done, event.total, event.outcome)
-        if not event.outcome.ok and event.total is not None:
+        if event.total is not None and not event.outcome.ok:
             failures.append(event.outcome)
-        for index in position.get(id(event.job), ()):
-            outcomes[index] = event.outcome
-    if failures and fail_fast:
+        if id(event.job) in roots:
+            outcomes[id(event.job)] = event.outcome
+    if failures:
         raise EngineError(failures)
-    return [outcomes[index] for index in range(len(jobs))]
+    return [outcomes[id(job)] for job in jobs]

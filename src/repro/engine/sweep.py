@@ -2,7 +2,7 @@
 
 This is the fan-out layer used by the examples and by parameter studies: a
 cartesian grid of configuration points, one job per point, executed through
-:func:`repro.engine.executor.run_jobs` so points run on as many workers as
+:func:`repro.engine.sharding.run_sharded` so points run on as many workers as
 requested and individually hit the content-addressed cache.
 """
 
@@ -12,7 +12,6 @@ from itertools import product
 from typing import Any, Callable, Sequence
 
 from repro.engine.cache import ResultCache
-from repro.engine.executor import ProgressFn
 from repro.engine.jobs import Job, MonteCarloPointJob
 from repro.engine.sharding import run_sharded
 
@@ -36,7 +35,6 @@ def run_sweep(
     workers: int = 1,
     shard_size: int | None = None,
     cache: ResultCache | None = None,
-    progress: ProgressFn | None = None,
 ) -> list[Any]:
     """Run one job per grid point; results come back in grid order.
 
@@ -49,7 +47,6 @@ def run_sweep(
         shard_size=shard_size,
         workers=workers,
         cache=cache,
-        progress=progress,
     )
     return [outcome.value for outcome in outcomes]
 
@@ -63,7 +60,6 @@ def monte_carlo_grid(
     workers: int = 1,
     shard_size: int | None = None,
     cache: ResultCache | None = None,
-    progress: ProgressFn | None = None,
 ) -> list[Any]:
     """Monte Carlo flip rates over the (variation x temperature) grid.
 
@@ -81,5 +77,4 @@ def monte_carlo_grid(
         workers=workers,
         shard_size=shard_size,
         cache=cache,
-        progress=progress,
     )

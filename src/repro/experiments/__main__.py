@@ -12,7 +12,6 @@ Usage::
     python -m repro.experiments --stream table11 --shard-size 6000
                                                  # NDJSON event per shard/experiment
     python -m repro.experiments --no-cache       # always recompute
-    python -m repro.experiments --cache-max-mb 256   # LRU-trim cache after the run
     python -m repro.experiments cache-prune --max-mb 64  # trim without running
     python -m repro.experiments daemon start     # warm daemon (pool + memory index)
     python -m repro.experiments daemon status    # JSON status of the running daemon
@@ -118,14 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="recompute every experiment, bypassing the result cache",
-    )
-    parser.add_argument(
-        "--cache-max-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="after the run, evict least-recently-used cache entries until "
-        "the store fits this budget",
     )
     parser.add_argument(
         "--json",
@@ -822,9 +813,6 @@ def _dispatch(argv: list[str] | None) -> int:
     if args.shard_size is not None and args.shard_size <= 0:
         print("--shard-size must be positive", file=sys.stderr)
         return 2
-    if args.cache_max_mb is not None and args.cache_max_mb < 0:
-        print("--cache-max-mb must be non-negative", file=sys.stderr)
-        return 2
     if args.as_json and args.stream:
         print("--json and --stream are mutually exclusive", file=sys.stderr)
         return 2
@@ -848,14 +836,13 @@ def _dispatch(argv: list[str] | None) -> int:
         _EventRenderer, selected, as_json=args.as_json, stream=args.stream
     )
     # A live daemon owns its own cache (memory index over its disk store), so
-    # only route through it when this invocation does not pin or manage a
-    # local cache (--cache-dir/--no-cache/--cache-max-mb stay inline).
-    # --trace also stays inline: spans must cover this process and its pool.
+    # only route through it when this invocation does not pin a local cache
+    # (--cache-dir/--no-cache stay inline).  --trace also stays inline:
+    # spans must cover this process and its pool.
     if (
         not args.no_daemon
         and not args.no_cache
         and args.cache_dir is None
-        and args.cache_max_mb is None
         and args.trace is None
     ):
         routed = _route(jobs, new_renderer, shard_size=args.shard_size, workers=args.jobs)
@@ -915,20 +902,6 @@ def _dispatch(argv: list[str] | None) -> int:
 
         if cache is not None:
             print(f"cache: {cache.stats.summary()}", file=sys.stderr)
-        if args.cache_max_mb is not None:
-            # The store is trimmed even under --no-cache: that flag only bypasses
-            # lookups for this run, while the size budget is about the directory.
-            try:
-                store = cache or ResultCache(args.cache_dir or default_cache_dir())
-            except OSError as error:
-                print(f"unusable cache directory: {error}", file=sys.stderr)
-                return 2
-            removed, freed = store.prune(int(args.cache_max_mb * 1_000_000))
-            print(
-                f"cache: pruned {removed} entrie(s) ({freed / 1e6:.2f} MB) to fit "
-                f"{args.cache_max_mb:g} MB",
-                file=sys.stderr,
-            )
         return 0
     finally:
         if trace_writer is not None:

@@ -99,9 +99,3 @@ def run_all(
         cache=cache,
     )
     return {outcome.job.experiment_id: outcome.value for outcome in outcomes}
-
-
-def render_report(quick: bool = True, *, jobs: int = 1) -> str:
-    """Render a full plain-text reproduction report (all experiments)."""
-    sections = [result.render() for result in run_all(quick, jobs=jobs).values()]
-    return "\n\n".join(sections)

@@ -77,6 +77,11 @@ class FleetConfig:
     enroll_temperature_c: float = 30.0
 
     def __post_init__(self) -> None:
+        for name in ("seed", "devices", "challenges_per_device"):
+            value = getattr(self, name)
+            # bool is an int subclass: refuse ``True`` rather than read it as 1.
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.devices <= 0:
             raise ValueError(f"devices must be positive, got {self.devices}")
         if self.challenges_per_device <= 0:

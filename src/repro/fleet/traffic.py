@@ -90,6 +90,9 @@ class TrafficConfig:
     reenroll_hours: float = 0.0
 
     def __post_init__(self) -> None:
+        # bool is an int subclass: refuse ``True`` rather than read it as 1.
+        if type(self.requests) is not int:
+            raise TypeError(f"requests must be an int, got {self.requests!r}")
         if self.requests <= 0:
             raise ValueError(f"requests must be positive, got {self.requests}")
         if not 0.0 <= self.impostor_ratio <= 1.0:

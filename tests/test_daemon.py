@@ -308,14 +308,6 @@ class TestDaemonServer:
         assert main(["table1", "--cache-dir", str(tmp_path / "local")]) == 0
         assert "daemon:" not in capsys.readouterr().err
 
-    def test_cache_max_mb_bypasses_daemon(self, daemon, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_DAEMON_SOCKET", str(daemon.socket_path))
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "local"))
-        assert main(["table1", "--cache-max-mb", "100"]) == 0
-        err = capsys.readouterr().err
-        assert "daemon:" not in err
-        assert "pruned" in err
-
     def test_ignored_jobs_flag_is_reported(self, daemon, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_DAEMON_SOCKET", str(daemon.socket_path))
         assert main(["table1", "--jobs", "8"]) == 0
@@ -487,6 +479,13 @@ class TestDaemonTelemetry:
             {"impostor_ratio": 5.0},
             {"puf": "nope"},
             {"temperature_jitter_c": float("nan")},
+            # Mistyped counts: a float or bool would otherwise be admitted
+            # and fail in a worker, run under a key of its own, or read as 1.
+            {"requests": 16.0},
+            {"requests": True},
+            {"devices": 8.5},
+            {"challenges_per_device": 2.0},
+            {"fleet_seed": 1.5},
         ],
     )
     def test_invalid_fleet_config_is_refused_before_admission(
@@ -495,6 +494,24 @@ class TestDaemonTelemetry:
         frames = list(daemon.fleet(dict(FLEET_CONFIG, **override)))
         assert [frame["type"] for frame in frames] == ["error"]
         assert "bad fleet-traffic job config" in frames[0]["message"]
+        status = daemon.status()
+        assert status["active_requests"] == 0 and status["index_entries"] == 0
+        assert len(ResultCache(tmp_path / "cache")) == 0
+
+    @pytest.mark.parametrize(
+        "config, reason",
+        [
+            ({"experiment_id": ["table1"]}, "experiment_id must be a str"),
+            ({"experiment_id": "table1", "quick": "no"}, "quick must be a bool"),
+            ({"experiment_id": "table1", "quick": 1}, "quick must be a bool"),
+        ],
+    )
+    def test_invalid_experiment_config_is_refused_before_admission(
+        self, daemon, tmp_path, config, reason
+    ):
+        frames = list(daemon.work([{"kind": "experiment", "config": config}]))
+        assert [frame["type"] for frame in frames] == ["error"]
+        assert f"bad experiment job config: {reason}" in frames[0]["message"]
         status = daemon.status()
         assert status["active_requests"] == 0 and status["index_entries"] == 0
         assert len(ResultCache(tmp_path / "cache")) == 0
@@ -800,19 +817,6 @@ class TestAdmissionControl:
         frames = list(client.submit(["table1"]))
         assert frames[-1]["type"] == "done"
 
-    def test_client_retries_through_refused_accepts(self, make_daemon):
-        client = make_daemon()
-        # Arm the injector only after the readiness pings are done so the
-        # refusal budget is spent by this test's own connections.
-        client.server.faults = FaultInjector(
-            FaultPlan(refuse_accept_fraction=1.0, refuse_budget=2)
-        )
-        with pytest.raises(DaemonError):
-            client.ping()  # no retries: the refusal surfaces
-        response = client.request({"op": "ping"}, retries=2, backoff_s=0.01)
-        assert response["type"] == "pong"
-        assert client.server.faults.fired["refuse_accept"] == 2
-
 
 class TestRequestRelease:
     """A request's id is released before its terminal frame is sent.
@@ -905,7 +909,6 @@ class TestWorkerCrashRecovery:
             faults_mod.FAULTS_ENV,
             json.dumps(
                 {
-                    "seed": 1,
                     "state_dir": str(tmp_path / "chaos"),
                     "kill_worker_on_job": 1,
                     "kill_budget": 1,

@@ -20,7 +20,7 @@ from repro.engine import (
     monte_carlo_grid,
     result_from_json,
     result_to_json,
-    run_jobs,
+    run_sharded,
     to_jsonable,
 )
 from repro.experiments.__main__ import main
@@ -145,8 +145,8 @@ class TestResultCache:
 class TestExecutor:
     def test_serial_and_parallel_results_match(self):
         jobs = [ExperimentJob(experiment_id) for experiment_id in FAST_EXPERIMENTS]
-        serial = run_jobs(jobs, workers=1)
-        parallel = run_jobs(jobs, workers=2)
+        serial = run_sharded(jobs, workers=1)
+        parallel = run_sharded(jobs, workers=2)
         assert [o.job.job_id for o in parallel] == list(FAST_EXPERIMENTS)
         for left, right in zip(serial, parallel):
             assert left.value.to_dict() == right.value.to_dict()
@@ -154,38 +154,23 @@ class TestExecutor:
     def test_cache_serves_second_run(self, tmp_path):
         cache = ResultCache(tmp_path)
         jobs = [ExperimentJob(experiment_id) for experiment_id in FAST_EXPERIMENTS]
-        cold = run_jobs(jobs, cache=cache)
-        warm = run_jobs(jobs, cache=cache)
+        cold = run_sharded(jobs, cache=cache)
+        warm = run_sharded(jobs, cache=cache)
         assert not any(outcome.cached for outcome in cold)
         assert all(outcome.cached for outcome in warm)
         assert cache.stats.hit_rate == pytest.approx(0.5)
         for left, right in zip(cold, warm):
             assert left.value == right.value
 
-    def test_progress_callback_sees_every_job(self):
-        seen = []
-        run_jobs(
-            [ExperimentJob("table1"), ExperimentJob("table2")],
-            progress=lambda done, total, outcome: seen.append((done, total, outcome.job.job_id)),
-        )
-        assert [entry[:2] for entry in seen] == [(1, 2), (2, 2)]
-        assert {entry[2] for entry in seen} == {"table1", "table2"}
-
     def test_fail_fast_raises_engine_error(self):
         with pytest.raises(EngineError) as excinfo:
-            run_jobs([ExperimentJob("table1"), FailingJob()])
+            run_sharded([ExperimentJob("table1"), FailingJob()])
         assert "boom" in str(excinfo.value)
         assert "exploded" in excinfo.value.render()
 
     def test_fail_fast_parallel(self):
         with pytest.raises(EngineError):
-            run_jobs([FailingJob("a"), FailingJob("b"), ExperimentJob("table1")], workers=2)
-
-    def test_collect_errors_without_fail_fast(self):
-        outcomes = run_jobs([FailingJob(), ExperimentJob("table1")], fail_fast=False)
-        assert not outcomes[0].ok
-        assert "exploded" in outcomes[0].error
-        assert outcomes[1].ok
+            run_sharded([FailingJob("a"), FailingJob("b"), ExperimentJob("table1")], workers=2)
 
     def test_run_all_through_engine_matches_direct_drivers(self):
         from repro.experiments.registry import EXPERIMENTS
@@ -214,8 +199,8 @@ class TestSweep:
     def test_monte_carlo_point_job_round_trips_through_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = MonteCarloPointJob(4.0, 85.0, samples=1_000)
-        cold = run_jobs([job], cache=cache)[0]
-        warm = run_jobs([job], cache=cache)[0]
+        cold = run_sharded([job], cache=cache)[0]
+        warm = run_sharded([job], cache=cache)[0]
         assert warm.cached
         assert warm.value == cold.value
 

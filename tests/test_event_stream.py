@@ -3,10 +3,11 @@
 Covers the :class:`~repro.engine.JobEvent` stream contract
 (``scheduled``/``started``/``cached``/``finished``/``failed``, wire format,
 shard coordinates), completion-order emission with incremental parent merges
-in :func:`~repro.engine.iter_sharded` plus its ``ordered=True`` gate, the
-fail-fast pool-drain guarantees (in-flight work lands in the cache, cancelled
-work leaves no orphan outcomes), and the CLI's ``--stream``/``--jobs``
-surface.
+in :func:`~repro.engine.iter_sharded`, the fail-fast guarantees (in-flight
+work lands in the cache, cancelled work leaves no orphan outcomes, a parent
+whose last shard fails fails too and caches nothing), worker-crash recovery
+through :class:`~repro.engine.PoolSupervisor`, and the CLI's
+``--stream``/``--jobs`` surface.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import pytest
@@ -34,11 +34,11 @@ from repro.engine import (
     JobOutcome,
     MonteCarloPointJob,
     PoolSupervisor,
+    RangeJob,
     RangeShard,
     ResultCache,
     iter_jobs,
     iter_sharded,
-    run_jobs,
     run_sharded,
 )
 from repro.experiments.__main__ import main
@@ -171,6 +171,35 @@ class GatedMonteCarloPointJob(MonteCarloPointJob):
         return super().run_range(start, stop)
 
 
+@dataclass(frozen=True)
+class LastShardFailsJob(RangeJob):
+    """Picklable four-unit range job whose units from 2 on raise."""
+
+    units: int = 4
+
+    kind = "last-shard-fails"
+    shard_kind = "last-shard-fails-shard"
+    total_field = "units"
+
+    @property
+    def job_id(self) -> str:
+        return "lf"
+
+    @property
+    def config(self) -> dict:
+        return {"units": self.units}
+
+    def run_range(self, start: int, stop: int) -> dict:
+        if stop > 2:
+            raise RuntimeError(f"units [{start}, {stop}) exploded")
+        return {"units": [float(unit) for unit in range(start, stop)]}
+
+
+def _settled(events) -> list[JobOutcome]:
+    """The outcomes of a stream's terminal events, in completion order."""
+    return [event.outcome for event in events if event.terminal]
+
+
 class TestIterJobs:
     def test_event_sequence_for_one_job(self):
         events = list(iter_jobs([ExperimentJob("table1")]))
@@ -196,12 +225,12 @@ class TestIterJobs:
         events = list(iter_jobs([slow, fast], workers=2))
         terminal = [event.job.job_id for event in events if event.terminal]
         assert terminal == ["fast", "slow"]
-        # ... while run_jobs restores submission order.
-        outcomes = run_jobs([slow, fast], workers=2)
+        # ... while run_sharded restores submission order.
+        outcomes = run_sharded([slow, fast], workers=2)
         assert [outcome.job.job_id for outcome in outcomes] == ["slow", "fast"]
 
     def test_failed_event_carries_traceback(self):
-        events = list(iter_jobs([SlowFailJob(sleep_s=0.0)], fail_fast=False))
+        events = list(iter_jobs([SlowFailJob(sleep_s=0.0)]))
         assert events[-1].type == FAILED
         assert "exploded" in events[-1].outcome.error
 
@@ -305,7 +334,7 @@ class TestFailFastPoolDrain:
         in_flight = SleepJob("inflight", 0.6)
         queued = [SleepJob(f"queued{i}", 0.01) for i in range(6)]
         jobs = [fail, in_flight, *queued]
-        events = list(iter_jobs(jobs, workers=2, cache=cache, fail_fast=True))
+        events = list(iter_jobs(jobs, workers=2, cache=cache))
         terminal = {event.job.job_id: event for event in events if event.terminal}
         assert terminal["bang"].type == FAILED
         # The in-flight sibling was NOT killed: it drained and was cached.
@@ -319,12 +348,12 @@ class TestFailFastPoolDrain:
         for job in cancelled:
             assert ResultCache(tmp_path).get(job) is None
 
-    def test_run_jobs_raises_after_drain(self, tmp_path):
+    def test_run_sharded_raises_after_drain(self, tmp_path):
         cache = ResultCache(tmp_path)
         fail = SlowFailJob(sleep_s=0.05)
         in_flight = SleepJob("inflight", 0.4)
         with pytest.raises(EngineError) as excinfo:
-            run_jobs([fail, in_flight, SleepJob("tail", 0.3)], workers=2, cache=cache)
+            run_sharded([fail, in_flight, SleepJob("tail", 0.3)], workers=2, cache=cache)
         assert "bang" in str(excinfo.value)
         assert ResultCache(tmp_path).get(in_flight) == "inflight"
 
@@ -339,16 +368,17 @@ class TestFailFastPoolDrain:
         point = GatedMonteCarloPointJob(
             4.0, 30.0, samples=64 * MC_SAMPLE_BLOCK, gate=str(gate)
         )
-
-        def open_gate_on_failure(done, total, outcome):
-            if outcome.job is fail and not outcome.ok:
+        events = []
+        for event in iter_sharded(
+            [fail, point], shard_size=MC_SAMPLE_BLOCK, workers=2, cache=cache
+        ):
+            events.append(event)
+            if event.job is fail and event.type == FAILED:
                 gate.touch()
-
-        with pytest.raises(EngineError):
-            run_sharded(
-                [fail, point], shard_size=MC_SAMPLE_BLOCK, workers=2, cache=cache,
-                progress=open_gate_on_failure,
-            )
+        assert [event.type for event in events if event.job is fail and event.terminal] == [
+            FAILED
+        ]
+        assert not any(event.job is point and event.terminal for event in events)
         fresh = ResultCache(tmp_path)
         # The first shard was in flight alongside the failure: it drained
         # into the cache...
@@ -387,33 +417,23 @@ class TestIterSharded:
         # before the computing sibling submitted ahead of it.
         assert roots == [light, heavy]
 
-    def test_ordered_gate_restores_submission_order(self, tmp_path):
-        heavy = MonteCarloPointJob(4.0, 30.0, samples=2 * MC_SAMPLE_BLOCK)
-        light = MonteCarloPointJob(3.0, 30.0, samples=2 * MC_SAMPLE_BLOCK)
-        run_sharded([light], shard_size=MC_SAMPLE_BLOCK, cache=ResultCache(tmp_path))
-        events = list(
-            iter_sharded(
-                [heavy, light],
-                shard_size=MC_SAMPLE_BLOCK,
-                cache=ResultCache(tmp_path),
-                ordered=True,
-            )
-        )
-        roots = [
-            event.job for event in events if event.terminal and event.job in (heavy, light)
+    def test_last_shard_failure_fails_the_parent_and_caches_no_merge(self, tmp_path):
+        # The failing shard is the parent's last outstanding one, so the
+        # parent settles too: failed, naming the shard, with nothing merged.
+        job = LastShardFailsJob()
+        events = list(iter_sharded([job], shard_size=2, cache=ResultCache(tmp_path)))
+        assert [(event.type, event.job_id) for event in events if event.terminal] == [
+            (FINISHED, "lf[0:2]"), (FAILED, "lf[2:4]"), (FAILED, "lf"),
         ]
-        assert roots == [heavy, light]
-
-    def test_ordered_matches_unordered_outcomes(self, tmp_path):
-        jobs = [ExperimentJob("table1"), ExperimentJob("table2")]
-        plain = run_sharded(jobs, shard_size=10)
-        gated = run_sharded(
-            [ExperimentJob("table1"), ExperimentJob("table2")],
-            shard_size=10,
-            ordered=True,
-        )
-        for left, right in zip(plain, gated):
-            assert left.value.to_dict() == right.value.to_dict()
+        assert events[-1].job is job
+        assert events[-1].outcome.error.startswith("[lf[2:4]] ")
+        assert "exploded" in events[-1].outcome.error
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(RangeShard(job, 0, 2)) == {"units": [0.0, 1.0]}
+        assert fresh.get(job) is None
+        with pytest.raises(EngineError, match=r"^1 job\(s\) failed: lf\[2:4\]$"):
+            run_sharded([job], shard_size=2, cache=ResultCache(tmp_path))
+        assert ResultCache(tmp_path).get(job) is None
 
     def test_fully_cached_tree_settles_without_running_leaves(self, tmp_path):
         point = MonteCarloPointJob(4.0, 30.0, samples=2 * MC_SAMPLE_BLOCK)
@@ -483,7 +503,7 @@ class TestPoolSupervisor:
         supervisor = PoolSupervisor(2, backoff_s=0.0)
         try:
             job = CrashOnceJob("phoenix", str(tmp_path / "attempt.marker"))
-            outcomes = run_jobs([job], pool=supervisor)
+            outcomes = _settled(iter_jobs([job], pool=supervisor))
             assert outcomes[0].value == "phoenix"
             assert supervisor.rebuilds >= 1
         finally:
@@ -495,10 +515,12 @@ class TestPoolSupervisor:
         supervisor = PoolSupervisor(2, backoff_s=0.0)
         try:
             crash = CrashOnceJob("victim", str(tmp_path / "v.marker"))
-            outcomes = run_jobs(
-                [crash, SleepJob("bystander", 0.05)],
-                pool=supervisor,
-                cache=ResultCache(tmp_path),
+            outcomes = _settled(
+                iter_jobs(
+                    [crash, SleepJob("bystander", 0.05)],
+                    pool=supervisor,
+                    cache=ResultCache(tmp_path),
+                )
             )
             by_id = {outcome.job.job_id: outcome for outcome in outcomes}
             assert by_id["victim"].value == "victim"
@@ -510,18 +532,22 @@ class TestPoolSupervisor:
     def test_retry_budget_exhaustion_settles_as_failed(self):
         supervisor = PoolSupervisor(2, max_attempts=2, backoff_s=0.0)
         try:
-            outcomes = run_jobs([AlwaysCrashJob()], pool=supervisor, fail_fast=False)
+            outcomes = _settled(iter_jobs([AlwaysCrashJob()], pool=supervisor))
             assert not outcomes[0].ok
             assert "gave up after 2 attempt(s)" in outcomes[0].error
         finally:
             supervisor.shutdown()
 
     def test_plain_pool_crash_fails_without_retry(self, tmp_path):
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            job = CrashOnceJob("one-shot", str(tmp_path / "m.marker"))
-            outcomes = run_jobs([job], pool=pool, fail_fast=False)
-        assert not outcomes[0].ok
-        assert "gave up after 1 attempt(s)" in outcomes[0].error
+        # Two misses fan out across a pool the stream owns, which allows one
+        # attempt; a single miss would run inline, where the crash would end
+        # the test process.
+        job = CrashOnceJob("one-shot", str(tmp_path / "m.marker"))
+        with pytest.raises(EngineError) as excinfo:
+            run_sharded([job, SleepJob("bystander", 0.5)], workers=2)
+        failures = {outcome.job.job_id: outcome for outcome in excinfo.value.failures}
+        assert not failures["one-shot"].ok
+        assert "gave up after 1 attempt(s)" in failures["one-shot"].error
 
     def test_backoff_is_exponential_and_capped(self):
         supervisor = PoolSupervisor(1, backoff_s=0.1, backoff_cap_s=0.3)

@@ -1,9 +1,9 @@
 """Tests for the deterministic fault-injection harness (:mod:`repro.engine.faults`).
 
 Covers plan validation and environment parsing, the determinism guarantees
-(seeded refusal draws, cross-process ordinal claims via ``state_dir``), and
-the cache-corruption fault site together with the evict-then-recompute
-recovery path it is designed to exercise.
+(frame-drop thresholds and budgets, cross-process ordinal claims via
+``state_dir``), and the cache-corruption fault site together with the
+evict-then-recompute recovery path it is designed to exercise.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class TestFaultPlan:
         assert plan.kill_worker_on_job is None
         assert plan.drop_connection_after_frames is None
         assert plan.corrupt_cache_store is None
-        assert plan.refuse_accept_fraction == 0.0
         assert plan.delay_frame_s == 0.0
 
     @pytest.mark.parametrize(
@@ -44,8 +43,8 @@ class TestFaultPlan:
             ({"drop_connection_after_frames": -1}, "positive int"),
             ({"corrupt_cache_store": "one"}, "positive int"),
             ({"kill_budget": -1}, "non-negative"),
-            ({"refuse_budget": -2}, "non-negative"),
-            ({"refuse_accept_fraction": 1.5}, r"\[0, 1\]"),
+            ({"drop_budget": -2}, "non-negative"),
+            ({"corrupt_budget": -1}, "non-negative"),
             ({"delay_frame_s": -0.1}, ">= 0"),
             ({"kill_worker_on_job": 2}, "requires state_dir"),
         ],
@@ -65,10 +64,9 @@ class TestFaultPlan:
     def test_from_env_parses_a_plan(self, monkeypatch):
         monkeypatch.setenv(
             faults.FAULTS_ENV,
-            json.dumps({"seed": 9, "drop_connection_after_frames": 4}),
+            json.dumps({"drop_connection_after_frames": 4}),
         )
         plan = faults.FaultPlan.from_env()
-        assert plan.seed == 9
         assert plan.drop_connection_after_frames == 4
 
     @pytest.mark.parametrize("raw", ["{not json", "[1,2]", '"kill"'])
@@ -88,26 +86,6 @@ class TestFaultPlan:
 
 
 class TestDeterminism:
-    def test_seeded_refusals_reproduce_exactly(self):
-        plan = faults.FaultPlan(seed=42, refuse_accept_fraction=0.5)
-        draws = [faults.FaultInjector(plan).on_connection() for _ in range(1)]
-        first = [faults.FaultInjector(plan)]
-        second = [faults.FaultInjector(plan)]
-        seq_a = [first[0].on_connection() for _ in range(32)]
-        seq_b = [second[0].on_connection() for _ in range(32)]
-        assert seq_a == seq_b
-        assert any(seq_a) and not all(seq_a)  # a real mix at 0.5
-        assert draws[0] == seq_a[0]
-
-    def test_refuse_budget_caps_fires(self):
-        plan = faults.FaultPlan(
-            seed=7, refuse_accept_fraction=1.0, refuse_budget=2
-        )
-        injector = faults.FaultInjector(plan)
-        refusals = [injector.on_connection() for _ in range(10)]
-        assert refusals.count(True) == 2
-        assert injector.fired["refuse_accept"] == 2
-
     def test_drop_threshold_and_budget(self):
         plan = faults.FaultPlan(drop_connection_after_frames=2, drop_budget=1)
         injector = faults.FaultInjector(plan)

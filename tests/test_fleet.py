@@ -55,6 +55,14 @@ class TestFleetConfig:
             FleetConfig(chips_per_device=-1)
         with pytest.raises(ValueError):
             FleetConfig(banks=0)
+        # bool is an int subclass, and a float count would key its own cache
+        # entry: both are refused.
+        with pytest.raises(TypeError, match="seed must be an int"):
+            FleetConfig(seed=1.5)
+        with pytest.raises(TypeError, match="devices must be an int"):
+            FleetConfig(devices=True)
+        with pytest.raises(TypeError, match="challenges_per_device must be an int"):
+            FleetConfig(challenges_per_device=2.0)
 
     def test_segment_bytes(self):
         assert CONFIG.segment_bytes == CONFIG.row_bits // 8
@@ -266,6 +274,10 @@ class TestTraffic:
             TrafficConfig(aging_horizon_hours=-1.0)
         with pytest.raises(ValueError, match="reenroll_hours"):
             TrafficConfig(reenroll_hours=-1.0)
+        with pytest.raises(TypeError, match="requests must be an int"):
+            TrafficConfig(requests=16.0)
+        with pytest.raises(TypeError, match="requests must be an int"):
+            TrafficConfig(requests=True)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize(

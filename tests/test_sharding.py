@@ -417,24 +417,18 @@ class TestShardingCLI:
         assert "--shard-size" in capsys.readouterr().err
 
     def test_cache_max_mb_must_be_non_negative(self, capsys):
-        assert main(["table1", "--cache-max-mb", "-1"]) == 2
-        assert "--cache-max-mb" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache-prune", "--max-mb", "-1"])
+        assert excinfo.value.code == 2
+        assert "--max-mb" in capsys.readouterr().err
 
-    def test_cache_max_mb_applies_under_no_cache(self, tmp_path, capsys, monkeypatch):
+    def test_cache_prune_defaults_to_env_cache_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["table1"]) == 0
         capsys.readouterr()
         assert list(tmp_path.glob("*/*.json"))
-        assert main(["table1", "--no-cache", "--cache-max-mb", "0"]) == 0
-        assert "pruned" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*/*.json"))
-
-    def test_cache_max_mb_prunes_after_run(self, tmp_path, capsys):
-        assert main([
-            "table1", "table2", "--cache-dir", str(tmp_path), "--cache-max-mb", "0",
-        ]) == 0
-        err = capsys.readouterr().err
-        assert "pruned" in err
+        assert main(["cache-prune", "--max-mb", "0"]) == 0
+        assert "removed 1" in capsys.readouterr().out
         assert not list(tmp_path.glob("*/*.json"))
 
     def test_cache_prune_subcommand(self, tmp_path, capsys):

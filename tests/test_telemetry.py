@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import Executor, Future
+from concurrent.futures import Future
 
 import pytest
 
@@ -501,9 +501,12 @@ class TestPrometheusEdgeCases:
         assert tiny.quantile(0.5) == 1e-9
 
 
-class _RecordingPool(Executor):
-    """In-process executor recording every submission; runs it only when
-    ``run`` (a telemetry-on worker call would reconfigure this process)."""
+class _RecordingPool:
+    """In-process stand-in for a :class:`PoolSupervisor` recording every
+    submission; runs it only when ``run`` (a telemetry-on worker call would
+    reconfigure this process)."""
+
+    max_attempts = 1
 
     def __init__(self, run: bool):
         self.run = run

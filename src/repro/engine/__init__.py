@@ -58,7 +58,6 @@ _EXPORTS = {
     "stop_daemon": "repro.engine.client",
     "ExperimentDaemon": "repro.engine.daemon",
     "MemoryIndexCache": "repro.engine.daemon",
-    "CancelToken": "repro.engine.executor",
     "EngineError": "repro.engine.executor",
     "JobEvent": "repro.engine.executor",
     "JobOutcome": "repro.engine.executor",

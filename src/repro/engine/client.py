@@ -19,16 +19,16 @@ field lists root job specs, ``{"kind": job.kind, "config": job.config}``
 -- the identity that keys the cache -- from which the daemon rebuilds
 ``experiment`` and ``fleet-traffic`` jobs, refusing any config field outside
 that identity; its other fields (``shard_size``, ``code_version``,
-``timeout_s``, ``request_id``, ``trace_id``, ``parent_span``) are optional.
-It answers with one ``event`` frame per
-:class:`~repro.engine.executor.JobEvent` as shards land, then a ``done``
-frame carrying ``hits``, ``misses``, ``memory_hits``, ``elapsed_s`` and
-``latency`` (the auth-latency histogram recorded while the request ran).
-The other ops: ``cancel`` (abort an in-flight request by id), ``metrics``
-(Prometheus text exposition of the daemon's telemetry registry),
-``dump``/``tail`` (the flight recorder's per-request diagnostic records;
-``tail`` can ``follow`` the stream live), ``status``, ``ping``, and
-``shutdown``.  Error responses are ``{"type": "error", "message": ...}``.
+``trace_id``, ``parent_span``) are optional.  It answers with an
+``accepted`` frame naming the daemon-assigned ``request_id``, one ``event``
+frame per :class:`~repro.engine.executor.JobEvent` as shards land, then a
+``done`` frame carrying ``hits``, ``misses``, ``memory_hits``,
+``elapsed_s`` and ``latency`` (the auth-latency histogram recorded while
+the request ran).  The other ops: ``metrics`` (Prometheus text exposition
+of the daemon's telemetry registry), ``dump``/``tail`` (the flight
+recorder's per-request diagnostic records; ``tail`` can ``follow`` the
+stream live), ``status``, ``ping``, and ``shutdown``.  Error responses are
+``{"type": "error", "message": ...}``.
 
 A client built from edited sources sends its own source fingerprint with
 every submit and is refused with a ``stale`` frame, so a long-lived daemon
@@ -36,8 +36,8 @@ never serves results computed by old code.  When no daemon is listening on
 the socket (``$REPRO_DAEMON_SOCKET`` or the per-user default), the CLI runs
 inline in the invoking process, bit-identically.  Until a routed call has
 written to stdout, ``busy`` or a dropped connection is retried and then run
-inline, and ``stale``/``timeout``/``cancelled``/``error`` run inline at
-once; after that, anything but ``done`` fails the call.
+inline, and ``stale`` or ``error`` runs inline at once; after that,
+anything but ``done`` fails the call.
 """
 
 from __future__ import annotations
@@ -59,9 +59,7 @@ SOCKET_ENV = "REPRO_DAEMON_SOCKET"
 PROTOCOL_VERSION = 3
 
 #: Frame types that settle a submit stream.
-TERMINAL_FRAME_TYPES = frozenset(
-    {"done", "error", "stale", "busy", "timeout", "cancelled"}
-)
+TERMINAL_FRAME_TYPES = frozenset({"done", "error", "stale", "busy"})
 
 #: Frames larger than this are rejected (corrupt length headers fail fast).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -226,8 +224,6 @@ class DaemonClient:
         *,
         shard_size: int | None = None,
         code_version: str | None = None,
-        timeout_s: float | None = None,
-        request_id: str | None = None,
         trace_id: str | None = None,
         parent_span: str | None = None,
     ) -> Iterator[dict[str, Any]]:
@@ -237,18 +233,15 @@ class DaemonClient:
         ``experiment`` or ``fleet-traffic`` job.  The daemon answers with an
         ``accepted`` frame, one ``event`` frame per engine event, then
         ``done`` (``hits``, ``misses``, ``memory_hits``, ``elapsed_s``, and
-        the request's auth-latency histogram ``latency``) -- or a refusal or
-        abort (``error``, ``stale``, ``busy``, ``timeout``, ``cancelled``).  A
-        stream that ends without a terminal frame raises
-        :class:`DaemonError`: the daemon died or dropped the connection.
+        the request's auth-latency histogram ``latency``) -- or a refusal
+        (``error``, ``stale``, ``busy``).  A stream that ends without a
+        terminal frame raises :class:`DaemonError`: the daemon died or
+        dropped the connection.
 
         Pass the client's :func:`~repro.engine.cache.source_fingerprint` as
         ``code_version`` to be refused (a single ``stale`` frame) when the
         daemon was started from different package sources -- a stale daemon
-        must not silently serve results keyed under old code.  ``timeout_s``
-        sets a server-side deadline (a ``timeout`` frame settles the
-        stream); ``request_id`` names the request for the ``cancel`` op
-        (the daemon assigns one otherwise, echoed in ``accepted``).
+        must not silently serve results keyed under old code.
         ``trace_id``/``parent_span`` carry the client's trace context so
         daemon + worker spans join the client's tree (the daemon mints a
         trace id itself otherwise; frames echo it either way).
@@ -258,8 +251,6 @@ class DaemonClient:
             "jobs": list(jobs),
             "shard_size": shard_size,
             "code_version": code_version,
-            "timeout_s": timeout_s,
-            "request_id": request_id,
             "trace_id": trace_id,
             "parent_span": parent_span,
         }
@@ -284,13 +275,6 @@ class DaemonClient:
         from repro.engine.jobs import FleetTrafficJob
 
         return self.work([{"kind": FleetTrafficJob.kind, "config": dict(job_config)}], **options)
-
-    def cancel(self, request_id: str) -> bool:
-        """Cancel an in-flight request by id; ``True`` when one was found."""
-        response = self.request({"op": "cancel", "request_id": request_id})
-        if response.get("type") != "ok":
-            raise DaemonError(f"unexpected cancel response: {response}")
-        return bool(response.get("cancelled"))
 
     def metrics(self) -> str:
         """Prometheus text exposition of the daemon's metrics registry."""

@@ -31,19 +31,17 @@ timings, outcome, cache/retry/rebuild/fault tallies, slow-request flag)
 for post-hoc diagnosis via ``dump``/``tail``; ``status`` embeds its
 occupancy, slow-request count, and last error.
 
-Service semantics (this is a multi-client daemon, not a one-shot pipe):
+Service semantics (this is a multi-client daemon, not a one-shot pipe).
+A work request has one lifecycle: ``accepted``, then admitted or refused
+``busy``, then streamed, then ended ``done`` -- or ``disconnected`` when
+its client goes away.
 
-* Work requests pass through a bounded FIFO :class:`RequestQueue` -- at
-  most ``max_inflight`` execute concurrently, at most ``queue_depth`` wait
-  behind them, and overflow is answered *immediately* with a structured
-  ``busy`` frame instead of a hang.  Admitted requests first receive an
-  ``accepted`` frame carrying their ``request_id`` (client-chosen or
-  daemon-assigned), the handle for ``cancel``.
-* A request may carry ``timeout_s``; when the deadline passes the daemon
-  cancels the request's queued shards (in-flight shards drain into the
-  cache) and answers with a ``timeout`` frame naming the phase
-  (``queued``/``running``).  An explicit ``cancel`` op settles the stream
-  with a ``cancelled`` frame the same way.
+* Every work request first receives an ``accepted`` frame carrying the
+  ``request_id`` the daemon assigned it (``req-N``, also the name of its
+  flight-recorder record), then passes through a bounded FIFO
+  :class:`RequestQueue` -- at most ``max_inflight`` execute concurrently,
+  at most ``queue_depth`` wait behind them, and overflow is answered
+  *immediately* with a structured ``busy`` frame instead of a hang.
 * A killed pool worker breaks the shared ``ProcessPoolExecutor``; the
   daemon's :class:`~repro.engine.executor.PoolSupervisor` rebuilds it and
   retries the interrupted jobs with exponential backoff up to a retry
@@ -57,16 +55,15 @@ Service semantics (this is a multi-client daemon, not a one-shot pipe):
 
 The daemon always runs with telemetry collection enabled: work requests
 are timed into the ``daemon_request_seconds`` histogram and classified
-warm (every terminal outcome served from cache) vs cold;
-busy/timeout/cancelled/disconnect outcomes, queue wait and depth, and pool
-rebuilds are all counted too, and ``status`` embeds a full metrics
-snapshot plus service-health fields.  Fault injection for all of the above
-is driven by :mod:`repro.engine.faults` (``$REPRO_FAULTS``).
+warm (every terminal outcome served from cache) vs cold; busy/disconnect
+outcomes, queue wait and depth, and pool rebuilds are all counted too, and
+``status`` embeds a full metrics snapshot plus service-health fields.
+Fault injection for all of the above is driven by
+:mod:`repro.engine.faults` (``$REPRO_FAULTS``).
 """
 
 from __future__ import annotations
 
-import math
 import os
 import socket
 import socketserver
@@ -91,7 +88,7 @@ from repro.engine.client import (
     recv_frame,
     send_frame,
 )
-from repro.engine.executor import CancelToken, PoolSupervisor
+from repro.engine.executor import PoolSupervisor
 from repro.engine.jobs import ExperimentJob, FleetTrafficJob, Job
 from repro.engine.sharding import iter_sharded
 
@@ -101,8 +98,6 @@ ROOT_JOBS = {job.kind: job for job in (ExperimentJob, FleetTrafficJob)}
 #: Counter bumped when a work request ends other than ``done``.
 _OUTCOME_COUNTERS = {
     "busy": telemetry.DAEMON_REQUESTS_BUSY,
-    "timeout": telemetry.DAEMON_REQUESTS_TIMEOUT,
-    "cancelled": telemetry.DAEMON_REQUESTS_CANCELLED,
     "disconnected": telemetry.DAEMON_DISCONNECTS,
 }
 
@@ -164,11 +159,10 @@ class RequestQueue:
     """Bounded FIFO admission control for the daemon's work requests.
 
     At most ``max_inflight`` requests execute concurrently; up to
-    ``queue_depth`` more wait in arrival order.  :meth:`enter` returns
-    ``"ok"`` once admitted, ``"busy"`` immediately on overflow, or the
-    cancel reason (``"timeout"``/``"cancelled"``/``"disconnected"``) if the
-    request's token fires while it waits.  Queue depth and in-flight count
-    are mirrored into gauges; admitted requests record their queue wait.
+    ``queue_depth`` more wait on the condition variable in arrival order.
+    :meth:`enter` returns ``True`` once admitted and ``False`` at once on
+    overflow.  Queue depth and in-flight count are mirrored into gauges;
+    admitted requests record their queue wait.
     """
 
     def __init__(self, max_inflight: int = 4, queue_depth: int = 16):
@@ -179,7 +173,7 @@ class RequestQueue:
         self.max_inflight = max_inflight
         self.queue_depth = queue_depth
         self._cond = threading.Condition()
-        self._waiting: "deque[CancelToken]" = deque()
+        self._waiting: "deque[object]" = deque()
         self._inflight = 0
 
     @property
@@ -196,36 +190,24 @@ class RequestQueue:
             reg.gauge(telemetry.DAEMON_INFLIGHT).set(self._inflight)
             reg.gauge(telemetry.DAEMON_QUEUE_DEPTH).set(len(self._waiting))
 
-    def enter(self, token: CancelToken) -> str:
+    def enter(self) -> bool:
         start = time.perf_counter()
         with self._cond:
-            if self._inflight < self.max_inflight and not self._waiting:
-                self._inflight += 1
+            if self._waiting or self._inflight >= self.max_inflight:
+                if len(self._waiting) >= self.queue_depth:
+                    return False
+                ticket = object()
+                self._waiting.append(ticket)
                 self._update_gauges()
-                self._observe_wait(start)
-                return "ok"
-            if len(self._waiting) >= self.queue_depth:
-                return "busy"
-            self._waiting.append(token)
-            self._update_gauges()
-            try:
-                while True:
-                    if token.poll():
-                        return token.reason or "cancelled"
-                    if self._waiting and self._waiting[0] is token and (
-                        self._inflight < self.max_inflight
-                    ):
-                        self._waiting.popleft()
-                        self._inflight += 1
-                        self._observe_wait(start)
-                        return "ok"
-                    # Timed wait so token deadlines fire even with no churn.
-                    self._cond.wait(0.05)
-            finally:
-                if token in self._waiting:
-                    self._waiting.remove(token)
-                self._update_gauges()
+                while self._waiting[0] is not ticket or self._inflight >= self.max_inflight:
+                    self._cond.wait()
+                self._waiting.popleft()
+                # The new head of the queue may fit in a slot still free.
                 self._cond.notify_all()
+            self._inflight += 1
+            self._update_gauges()
+            self._observe_wait(start)
+            return True
 
     def leave(self) -> None:
         with self._cond:
@@ -304,6 +286,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def setup(self) -> None:
         super().setup()
         self._frames_sent = 0
+        self._request_id = ""
         self._record: "telemetry.RequestRecord | None" = None
         self._record_base = (0, 0, 0)
 
@@ -342,12 +325,6 @@ class _Handler(socketserver.StreamRequestHandler):
                 self._handle_tail(daemon, request)
             elif op == "submit":
                 self._handle_work(daemon, request)
-            elif op == "cancel":
-                request_id = str(request.get("request_id") or "")
-                cancelled = daemon.cancel_request(request_id)
-                self._send(
-                    {"type": "ok", "request_id": request_id, "cancelled": cancelled}
-                )
             elif op == "shutdown":
                 self._send({"type": "ok", "pid": os.getpid()})
                 daemon.request_shutdown()
@@ -380,7 +357,7 @@ class _Handler(socketserver.StreamRequestHandler):
         records = daemon.recorder.records(last=count)
         cursor = daemon.recorder.latest_seq()
         self._send({"type": "tail", "records": records, "seq": cursor})
-        if not request.get("follow") or not daemon.recorder.enabled:
+        if not request.get("follow"):
             return
         idle_rounds = 0
         while True:
@@ -401,18 +378,17 @@ class _Handler(socketserver.StreamRequestHandler):
 
         Flow: compare the client's source fingerprint (``stale`` frame) ->
         rebuild the root jobs (:func:`_root_jobs`; a refusal is an ``error``
-        frame) -> register a :class:`~repro.engine.executor.CancelToken`
-        under the request id -> ``accepted`` frame -> FIFO admission ->
-        stream events with the token threaded through the engine -> settle.
-        The fingerprint comes first, so a client built from other sources
-        hears ``stale`` even when its request would not validate here, and
-        neither refusal occupies a queue slot.  A client that disconnects
-        mid-stream cancels its own token; the stream drains silently
+        frame) -> assign a request id -> ``accepted`` frame -> FIFO
+        admission (``busy`` on overflow) -> stream events -> ``done``.  The
+        fingerprint comes first, so a client built from other sources hears
+        ``stale`` even when its request would not validate here, and neither
+        refusal occupies a queue slot.  A client that disconnects mid-stream
+        settles its request ``disconnected``: the stream drains silently
         (in-flight shards still land in the cache) and no terminal frame is
         sent.
 
         A request is *warm* when every terminal outcome was served from
-        cache; refused/busy/cancelled requests count as neither.  Every
+        cache; refused/busy/disconnected requests count as neither.  Every
         terminal frame leaves through :meth:`_settle`, which counts and
         releases the request first.
 
@@ -421,9 +397,9 @@ class _Handler(socketserver.StreamRequestHandler):
         request -- the ``daemon.request`` span and, through the executor's
         submit path, every pool-worker span record it -- and stamped on the
         ``accepted``/``event``/terminal frames.  The flight recorder's
-        :class:`~repro.telemetry.RequestRecord` opens once the request id is
-        registered; the ``finally`` safety net completes it on exit paths
-        that send no terminal frame (disconnects, handler crashes).
+        :class:`~repro.telemetry.RequestRecord` opens with the request id;
+        the ``finally`` safety net completes it on exit paths that send no
+        terminal frame (disconnects, handler crashes).
         """
         reg = telemetry.registry()
         reg.counter(telemetry.DAEMON_REQUESTS).inc()
@@ -440,17 +416,7 @@ class _Handler(socketserver.StreamRequestHandler):
         parent_span = request.get("parent_span")
         if not isinstance(parent_span, str):
             parent_span = None
-        timeout_s = request.get("timeout_s")
-        token = CancelToken(
-            deadline=time.monotonic() + timeout_s if timeout_s is not None else None
-        )
-        request_id = str(request.get("request_id") or daemon.next_request_id())
-        if not daemon.register_request(request_id, token):
-            self._refuse(
-                daemon, f"request_id {request_id!r} is already in flight"
-            )
-            return
-        self._request = (request_id, token)
+        request_id = self._request_id = daemon.next_request_id()
         trace_token = telemetry.set_trace_id(trace_id)
         record = self._record = daemon.recorder.begin(request_id, "submit", trace_id)
         self._record_base = (
@@ -469,42 +435,31 @@ class _Handler(socketserver.StreamRequestHandler):
                 }
             )
             queue_t0 = time.perf_counter()
-            admission = daemon.queue.enter(token)
-            if record is not None:
-                record.queue_wait_s = time.perf_counter() - queue_t0
-            if admission == "busy":
+            admitted = daemon.queue.enter()
+            record.queue_wait_s = time.perf_counter() - queue_t0
+            if not admitted:
                 message = (
                     f"daemon at capacity ({daemon.queue.max_inflight} in flight, "
                     f"{daemon.queue.queued} queued, depth limit {daemon.queue.queue_depth})"
                 )
                 self._settle(daemon, "busy", {"message": message})
                 return
-            if admission == "ok":
-                try:
-                    start = time.perf_counter()
-                    with telemetry.span(
-                        "daemon.request", kind="daemon", parent=parent_span,
-                        request_id=request_id,
-                    ):
-                        done = self._run_work(daemon, request, jobs, token)
-                    run_s = time.perf_counter() - start
-                    if record is not None:
-                        record.run_s = run_s
-                    reg.histogram(telemetry.DAEMON_REQUEST_SECONDS).observe(run_s)
-                finally:
-                    daemon.queue.leave()
-                if not token.cancelled:
-                    self._settle(daemon, "done", done)
-                    return
-            # Cancelled while queued (admission answered the reason) or while
-            # running (the stream saw the token fire).
-            reason = token.reason or "cancelled"
-            phase = "running" if admission == "ok" else "queued"
-            detail = "deadline passed" if reason == "timeout" else reason
-            frame = {"phase": phase, "message": f"request {detail} while {phase}"}
-            self._settle(daemon, reason, None if reason == "disconnected" else frame)
+            try:
+                start = time.perf_counter()
+                with telemetry.span(
+                    "daemon.request", kind="daemon", parent=parent_span,
+                    request_id=request_id,
+                ):
+                    done = self._run_work(daemon, request, jobs)
+                record.run_s = time.perf_counter() - start
+                reg.histogram(telemetry.DAEMON_REQUEST_SECONDS).observe(record.run_s)
+            finally:
+                daemon.queue.leave()
+            if done is None:
+                self._settle(daemon, "disconnected")
+            else:
+                self._settle(daemon, "done", done)
         except _ClientGone:
-            token.cancel("disconnected")
             self._settle(daemon, "disconnected")
             raise
         except Exception as error:
@@ -536,12 +491,12 @@ class _Handler(socketserver.StreamRequestHandler):
     ) -> None:
         """End the open request: count it, release it, then send ``frame``.
 
-        Every way an admitted request ends passes through here.  ``outcome``
-        is the terminal frame's type (``done``/``busy``/``timeout``/
-        ``cancelled``), or ``disconnected`` -- the peer is gone, so no frame
-        is sent.  The request is released *before* its terminal frame goes
-        out, so a client reacting to that frame -- resubmitting under the
-        same id, cancelling, dumping the recorder -- finds it settled.
+        Every way an accepted request ends passes through here.  ``outcome``
+        is the terminal frame's type (``done``/``busy``), or
+        ``disconnected`` -- the peer is gone, so no frame is sent.  The
+        request is released *before* its terminal frame goes out, so a
+        client reacting to that frame -- dumping the recorder, say -- finds
+        the request's record already in the ring.
         """
         record = self._record
         if outcome == "done":
@@ -561,38 +516,36 @@ class _Handler(socketserver.StreamRequestHandler):
             record.outcome = outcome
         self._release(daemon, None if frame is None else outcome)
         if frame is not None:
-            request_id, _ = self._request
             self._send(
                 {
                     "type": outcome,
                     **frame,
-                    "request_id": request_id,
+                    "request_id": self._request_id,
                     "trace_id": telemetry.current_trace_id(),
                 }
             )
 
     def _release(self, daemon: "ExperimentDaemon", terminal: str | None = None) -> None:
-        """Finalize the flight-recorder record and free the request id.
+        """Finalize the request's flight-recorder record.
 
         Captures the counter deltas this request incurred, pre-counts the
         ``terminal`` frame that is about to be sent, and detaches the record
         from the handler so :meth:`_send` stops tallying into it -- so the
         ring already holds the record when the client sees the request
-        finish.  Idempotent: the handler's ``finally`` calls it again (no
-        open record -> nothing to complete), and the id is freed only while
-        it still belongs to this request's token.
+        finish.  Idempotent: the handler's ``finally`` calls it again, and a
+        released request has no open record left to complete.
         """
         record, self._record = self._record, None
-        if record is not None:
-            reg = telemetry.registry()
-            retries0, faults0, rebuilds0 = self._record_base
-            record.retries = reg.counter(telemetry.ENGINE_JOB_RETRIES).value - retries0
-            record.faults = reg.counter(telemetry.FAULTS_INJECTED).value - faults0
-            record.rebuilds = daemon.supervisor.rebuilds - rebuilds0
-            if terminal is not None:
-                record.count_frame(terminal)
-            daemon.recorder.complete(record)
-        daemon.unregister_request(*self._request)
+        if record is None:
+            return
+        reg = telemetry.registry()
+        retries0, faults0, rebuilds0 = self._record_base
+        record.retries = reg.counter(telemetry.ENGINE_JOB_RETRIES).value - retries0
+        record.faults = reg.counter(telemetry.FAULTS_INJECTED).value - faults0
+        record.rebuilds = daemon.supervisor.rebuilds - rebuilds0
+        if terminal is not None:
+            record.count_frame(terminal)
+        daemon.recorder.complete(record)
 
     def _send(self, message: dict[str, Any]) -> None:
         daemon: ExperimentDaemon = self.server.daemon  # type: ignore[attr-defined]
@@ -641,16 +594,15 @@ class _Handler(socketserver.StreamRequestHandler):
         daemon: "ExperimentDaemon",
         request: dict[str, Any],
         jobs: list[Job],
-        token: CancelToken,
     ) -> dict[str, Any] | None:
         """Stream one admitted request's events; returns the unsent ``done``
-        frame's fields, or ``None`` when the request was cancelled
-        mid-stream (the caller settles it from the token).
+        frame's fields, or ``None`` when the client went away mid-stream.
 
-        A failed frame send marks the client gone and cancels the token, but
-        the event stream is still drained to completion silently: in-flight
-        shards land in the cache (a reconnecting client gets them warm) and
-        queued shards are cancelled by the engine's drain contract.
+        A failed frame send marks the client gone and sets the stream's own
+        stop event, but the event stream is still drained to completion
+        silently: in-flight shards land in the cache (a reconnecting client
+        gets them warm) and queued shards are cancelled by the engine's
+        drain contract.
 
         ``hits``/``misses`` come from this request's own events, so they are
         exact even under concurrent requests.  ``memory_hits`` and
@@ -667,14 +619,14 @@ class _Handler(socketserver.StreamRequestHandler):
         before = telemetry.Histogram.from_dict(auth_latency.to_dict())
         start = time.perf_counter()
         served = computed = 0
-        client_gone = False
+        client_gone = threading.Event()
         for event in iter_sharded(
             jobs,
             shard_size=request.get("shard_size"),
             workers=daemon.workers,
             cache=daemon.cache,
             pool=daemon.supervisor,
-            cancel=token,
+            cancel=client_gone,
         ):
             if event.terminal:
                 daemon.count_job()
@@ -682,12 +634,11 @@ class _Handler(socketserver.StreamRequestHandler):
                     served += 1
                 else:
                     computed += 1
-                if record is not None:
-                    record.jobs += 1
-                    if event.outcome is not None and not event.outcome.ok:
-                        record.failed_jobs += 1
-                        record.fail("job_failure", event.outcome.error or "job failed")
-            if client_gone:
+                record.jobs += 1
+                if event.outcome is not None and not event.outcome.ok:
+                    record.failed_jobs += 1
+                    record.fail("job_failure", event.outcome.error or "job failed")
+            if client_gone.is_set():
                 continue
             include_value = (
                 event.terminal
@@ -704,9 +655,8 @@ class _Handler(socketserver.StreamRequestHandler):
                     }
                 )
             except _ClientGone:
-                client_gone = True
-                token.cancel("disconnected")
-        if client_gone or token.cancelled:
+                client_gone.set()
+        if client_gone.is_set():
             return None
         return {
             "hits": served,
@@ -734,11 +684,6 @@ def _root_jobs(request: dict[str, Any]) -> list[Job]:
     shard_size = request.get("shard_size")
     if shard_size is not None and (type(shard_size) is not int or shard_size <= 0):
         raise ValueError("shard_size must be a positive int")
-    timeout_s = request.get("timeout_s")
-    if timeout_s is not None and (
-        type(timeout_s) not in (int, float) or not 0 < timeout_s < math.inf
-    ):
-        raise ValueError("timeout_s must be a positive number")
     specs = request.get("jobs")
     if not isinstance(specs, list) or not specs:
         raise ValueError("submit requires a non-empty jobs list")
@@ -829,8 +774,6 @@ class ExperimentDaemon:
         self.requests = 0
         self.jobs_completed = 0
         self._counters_lock = threading.Lock()
-        self._requests_lock = threading.Lock()
-        self._active_requests: dict[str, CancelToken] = {}
         self._request_seq = 0
         self._server: _Server | None = None
         # A service measures itself: collection is always on in the daemon
@@ -850,36 +793,11 @@ class ExperimentDaemon:
             self.jobs_completed += 1
 
     def next_request_id(self) -> str:
-        with self._requests_lock:
+        with self._counters_lock:
             self._request_seq += 1
             return f"req-{self._request_seq}"
 
-    def register_request(self, request_id: str, token: CancelToken) -> bool:
-        """Track an in-flight request; ``False`` when the id is taken."""
-        with self._requests_lock:
-            if request_id in self._active_requests:
-                return False
-            self._active_requests[request_id] = token
-            return True
-
-    def unregister_request(self, request_id: str, token: CancelToken) -> None:
-        """Forget an in-flight request, unless its id now names a newer one."""
-        with self._requests_lock:
-            if self._active_requests.get(request_id) is token:
-                del self._active_requests[request_id]
-
-    def cancel_request(self, request_id: str) -> bool:
-        """Fire the cancel token of an in-flight request (the ``cancel`` op)."""
-        with self._requests_lock:
-            token = self._active_requests.get(request_id)
-        if token is None:
-            return False
-        token.cancel("cancelled")
-        return True
-
     def status(self) -> dict[str, Any]:
-        with self._requests_lock:
-            active = len(self._active_requests)
         return {
             "v": PROTOCOL_VERSION,
             "pid": os.getpid(),
@@ -891,7 +809,6 @@ class ExperimentDaemon:
             "jobs_completed": self.jobs_completed,
             "inflight": self.queue.inflight,
             "queued": self.queue.queued,
-            "active_requests": active,
             "max_inflight": self.queue.max_inflight,
             "queue_depth_limit": self.queue.queue_depth,
             "pool_size": self.workers,

@@ -17,10 +17,10 @@ Every pool is a :class:`PoolSupervisor`: a killed worker breaks a
 config, so retried results are bit-identical) with exponential backoff up
 to the supervisor's attempt budget.  A stream that owns its pool allows one
 attempt; the daemon passes in its long-lived supervisor, which serves many
-streams without spin-up cost and retries.  A :class:`CancelToken` threads
-cooperative cancellation/deadlines through the stream: queued jobs are
-cancelled, in-flight jobs drain into the cache, and the stream ends without
-terminal events for the abandoned work.
+streams without spin-up cost and retries.  A ``cancel``
+:class:`threading.Event` (the daemon sets it when a client goes away) ends
+a stream early: queued jobs are cancelled, in-flight jobs drain into the
+cache, and the stream ends without terminal events for the abandoned work.
 """
 
 from __future__ import annotations
@@ -136,40 +136,6 @@ class EngineError(RuntimeError):
         for outcome in self.failures:
             sections.append(f"--- {outcome.job.job_id} ---\n{outcome.error}")
         return "\n".join(sections)
-
-
-class CancelToken:
-    """Cooperative cancellation flag with an optional monotonic deadline.
-
-    The first ``cancel()`` wins: its ``reason`` (``"cancelled"``,
-    ``"timeout"``, ``"disconnected"``, ...) is what consumers report.
-    ``poll()`` additionally promotes an expired deadline into a
-    ``"timeout"`` cancellation, so loops only ever need one check.
-    """
-
-    def __init__(self, deadline: float | None = None):
-        self._event = threading.Event()
-        self.reason: str | None = None
-        self.deadline = deadline
-
-    def cancel(self, reason: str = "cancelled") -> None:
-        if not self._event.is_set():
-            self.reason = reason
-        self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
-
-    def poll(self) -> bool:
-        """``True`` when cancelled, checking the deadline first."""
-        if (
-            not self._event.is_set()
-            and self.deadline is not None
-            and time.monotonic() > self.deadline
-        ):
-            self.cancel("timeout")
-        return self._event.is_set()
 
 
 class PoolSupervisor:
@@ -318,7 +284,7 @@ def iter_jobs(
     workers: int = 1,
     cache: ResultCache | None = None,
     pool: PoolSupervisor | None = None,
-    cancel: CancelToken | None = None,
+    cancel: threading.Event | None = None,
 ) -> Iterator[JobEvent]:
     """Yield a :class:`JobEvent` per state transition, in completion order.
 
@@ -345,10 +311,11 @@ def iter_jobs(
     ``max_attempts`` total attempts; only then does it settle as ``failed``.
     Retries emit no extra ``started`` events and other jobs are unaffected.
 
-    A ``cancel`` token (checked between inline jobs and on every pool wait
-    round, including its deadline) ends the stream early with the same drain
-    semantics as a failure: queued futures are cancelled and emit nothing,
-    in-flight results still land in the cache.
+    A set ``cancel`` event (checked between inline jobs and before every
+    pool wait round) ends the stream early with the same drain semantics as
+    a failure: queued futures are cancelled and emit nothing, in-flight
+    results still land in the cache.  It is set only while the stream is
+    suspended at a ``yield``, so no wait needs a timeout to notice it.
     """
     jobs = list(jobs)
     total = len(jobs)
@@ -373,7 +340,7 @@ def iter_jobs(
 
     if pool is None and (workers <= 1 or len(pending) <= 1):
         for index in pending:
-            if cancel is not None and cancel.poll():
+            if cancel is not None and cancel.is_set():
                 return
             job = jobs[index]
             yield JobEvent(STARTED, job, index, total)
@@ -424,11 +391,11 @@ def iter_jobs(
             yield JobEvent(STARTED, jobs[index], index, total)
         failed = False
         while futures:
-            if cancel is not None and cancel.poll():
+            if cancel is not None and cancel.is_set():
                 # Same drain contract as a failure: queued work is cancelled
                 # silently, in-flight results still land in the cache (a
-                # retried request after a timeout reuses them); crash
-                # casualties of the abandoned request are simply dropped.
+                # client that reconnects reuses them); crash casualties of
+                # the abandoned request are simply dropped.
                 for future in futures:
                     future.cancel()
                 wait(list(futures))
@@ -440,8 +407,7 @@ def iter_jobs(
                     except Exception:
                         continue
                 return
-            timeout = 0.05 if cancel is not None else None
-            completed, _ = wait(futures, timeout=timeout, return_when=FIRST_COMPLETED)
+            completed, _ = wait(futures, return_when=FIRST_COMPLETED)
             slept_this_round = False
             for future in completed:
                 index = futures.pop(future)

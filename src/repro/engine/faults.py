@@ -24,8 +24,6 @@ Fault sites wired through the codebase:
   connection that has already delivered K frames is torn down mid-stream
   (first ``drop_budget`` qualifying connections only), exercising the
   client-gone reap and the CLI retry path.
-* **delay frames** (``delay_frame_s``) -- every daemon frame send sleeps
-  first; used by tests to hold requests in flight deterministically.
 * **corrupt a cache blob** (``corrupt_cache_store``) -- the Nth
   :meth:`~repro.engine.cache.ResultCache.put` in the process garbles the
   blob on disk after the atomic rename; the next ``get`` must evict it as a
@@ -40,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -63,7 +60,6 @@ class FaultPlan:
     kill_budget: int = 1
     drop_connection_after_frames: int | None = None
     drop_budget: int = 1
-    delay_frame_s: float = 0.0
     corrupt_cache_store: int | None = None
     corrupt_budget: int = 1
 
@@ -77,8 +73,6 @@ class FaultPlan:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative int, got {value!r}")
-        if float(self.delay_frame_s) < 0.0:
-            raise ValueError(f"delay_frame_s must be >= 0, got {self.delay_frame_s!r}")
         if self.kill_worker_on_job is not None and not self.state_dir:
             # Without shared state each rebuilt worker would count jobs from
             # zero and kill itself again at the same ordinal -- an unbounded
@@ -192,14 +186,10 @@ class FaultInjector:
         """Applied before each daemon frame send; ``True`` = drop connection.
 
         ``frames_sent`` is how many frames this connection has already
-        delivered; the configured delay (if any) is applied here.
+        delivered.
         """
         plan = self.plan
-        if plan is None:
-            return False
-        if plan.delay_frame_s > 0.0:
-            time.sleep(plan.delay_frame_s)
-        threshold = plan.drop_connection_after_frames
+        threshold = None if plan is None else plan.drop_connection_after_frames
         if threshold is None or frames_sent < threshold:
             return False
         with self._lock:

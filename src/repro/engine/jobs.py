@@ -528,7 +528,10 @@ class FleetTrafficJob(RangeJob):
 
     def __post_init__(self) -> None:
         # Refuse a bad configuration where the job is made (the CLI, a daemon
-        # submit), not inside a pool worker.
+        # submit), not inside a pool worker.  The seed is checked here so the
+        # refusal names this job's field, not ``FleetConfig.seed``.
+        if type(self.fleet_seed) is not int:
+            raise TypeError(f"fleet_seed must be an int, got {self.fleet_seed!r}")
         self.traffic_config().check_fleet_size(self.fleet_config().devices)
 
     def fleet_config(self):

@@ -34,6 +34,7 @@ Cache interaction:
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -41,7 +42,6 @@ from typing import Iterator, Sequence
 from repro import telemetry
 from repro.engine.cache import ResultCache
 from repro.engine.executor import (
-    CancelToken,
     JobEvent,
     JobOutcome,
     PoolSupervisor,
@@ -152,7 +152,7 @@ def iter_sharded(
     workers: int = 1,
     cache: ResultCache | None = None,
     pool: PoolSupervisor | None = None,
-    cancel: CancelToken | None = None,
+    cancel: threading.Event | None = None,
 ) -> Iterator[JobEvent]:
     """Stream :class:`JobEvent` for a sharded run, merging incrementally.
 
@@ -168,8 +168,8 @@ def iter_sharded(
     jobs themselves, on ``pool`` when one is given.  A leaf failure cancels
     the queued leaves and the stream ends once in-flight leaves drain; a
     parent whose last outstanding shard settles after a failure emits
-    ``failed``, and one whose shards were abandoned emits nothing.  A
-    ``cancel`` token cancels the leaf stream the same way.
+    ``failed``, and one whose shards were abandoned emits nothing.  Setting
+    the ``cancel`` event ends the leaf stream the same way.
     """
     jobs = list(jobs)
     if shard_size is not None and shard_size <= 0:

@@ -262,9 +262,9 @@ def _route(jobs: list, new_sink, *, shard_size: int | None, workers: int):
 
     One rule for every caller: until the sink has written to stdout, a
     ``busy`` frame or a dropped connection is retried with jittered backoff
-    and then runs inline, and ``stale``/``timeout``/``cancelled``/``error``
-    run inline at once.  Once output exists, inline execution would print
-    it twice, so anything but ``done`` is a failure.
+    and then runs inline, and ``stale`` or ``error`` runs inline at once.
+    Once output exists, inline execution would print it twice, so anything
+    but ``done`` is a failure.
 
     The invocation's trace context rides along: the daemon adopts this
     process's ``trace_id`` and parents its ``daemon.request`` span under the
@@ -633,7 +633,7 @@ def _daemon_main(argv: list[str]) -> int:
                 default=256,
                 metavar="N",
                 help="completed work requests retained in the flight "
-                "recorder's ring buffer; 0 disables recording (default: 256)",
+                "recorder's ring buffer (default: 256)",
             )
             sp.add_argument(
                 "--slow-request-s",
@@ -685,10 +685,10 @@ def _daemon_main(argv: list[str]) -> int:
         )
         return 2
     if args.action in ("start", "run") and (
-        args.recorder_capacity < 0 or args.slow_request_s <= 0
+        args.recorder_capacity < 1 or args.slow_request_s <= 0
     ):
         print(
-            "--recorder-capacity must be >= 0 and --slow-request-s must be "
+            "--recorder-capacity must be >= 1 and --slow-request-s must be "
             "positive",
             file=sys.stderr,
         )

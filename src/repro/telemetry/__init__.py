@@ -11,10 +11,10 @@ The observability layer over the engine, daemon, and fleet:
   *exactly* (per-bucket integer addition), JSON snapshots, per-job worker
   deltas (``drain``/``merge_snapshot``), and Prometheus text exposition;
 * :mod:`repro.telemetry.recorder` -- the daemon flight recorder: a bounded
-  ring of per-request :class:`RequestRecord` diagnostics (frames seen,
-  queue wait, phase timings, outcome, retry/rebuild/fault counters) with a
-  slow-request threshold and a last-error audit, served by the daemon's
-  ``dump``/``tail`` ops.
+  ring (capacity at least 1) holding one :class:`RequestRecord` per
+  accepted work request (frames seen, queue wait, phase timings, outcome,
+  retry/rebuild/fault counters) with a slow-request threshold and a
+  last-error audit, served by the daemon's ``dump``/``tail`` ops.
 
 Design constraints (enforced by tests and CI):
 
@@ -29,7 +29,6 @@ Design constraints (enforced by tests and CI):
 from repro.telemetry.metrics import (
     CACHE_EVICTIONS,
     CACHE_HITS,
-    CACHE_MEMORY_HITS,
     CACHE_MISSES,
     CACHE_STORES,
     DAEMON_DISCONNECTS,
@@ -38,9 +37,7 @@ from repro.telemetry.metrics import (
     DAEMON_QUEUE_WAIT_SECONDS,
     DAEMON_REQUESTS,
     DAEMON_REQUESTS_BUSY,
-    DAEMON_REQUESTS_CANCELLED,
     DAEMON_REQUESTS_COLD,
-    DAEMON_REQUESTS_TIMEOUT,
     DAEMON_REQUESTS_WARM,
     DAEMON_REQUEST_SECONDS,
     ENGINE_JOBS_CACHED,
@@ -89,7 +86,6 @@ from repro.telemetry.spans import (
 __all__ = [
     "CACHE_EVICTIONS",
     "CACHE_HITS",
-    "CACHE_MEMORY_HITS",
     "CACHE_MISSES",
     "CACHE_STORES",
     "DAEMON_DISCONNECTS",
@@ -98,9 +94,7 @@ __all__ = [
     "DAEMON_QUEUE_WAIT_SECONDS",
     "DAEMON_REQUESTS",
     "DAEMON_REQUESTS_BUSY",
-    "DAEMON_REQUESTS_CANCELLED",
     "DAEMON_REQUESTS_COLD",
-    "DAEMON_REQUESTS_TIMEOUT",
     "DAEMON_REQUESTS_WARM",
     "DAEMON_REQUEST_SECONDS",
     "ENGINE_JOBS_CACHED",

@@ -43,14 +43,11 @@ CACHE_HITS = "cache_hits_total"
 CACHE_MISSES = "cache_misses_total"
 CACHE_STORES = "cache_stores_total"
 CACHE_EVICTIONS = "cache_evictions_total"
-CACHE_MEMORY_HITS = "cache_memory_hits_total"
 DAEMON_REQUESTS = "daemon_requests_total"
 DAEMON_REQUESTS_WARM = "daemon_requests_warm_total"
 DAEMON_REQUESTS_COLD = "daemon_requests_cold_total"
 DAEMON_REQUEST_SECONDS = "daemon_request_seconds"
 DAEMON_REQUESTS_BUSY = "daemon_requests_busy_total"
-DAEMON_REQUESTS_TIMEOUT = "daemon_requests_timeout_total"
-DAEMON_REQUESTS_CANCELLED = "daemon_requests_cancelled_total"
 DAEMON_DISCONNECTS = "daemon_client_disconnects_total"
 DAEMON_QUEUE_WAIT_SECONDS = "daemon_queue_wait_seconds"
 DAEMON_QUEUE_DEPTH = "daemon_queue_depth"

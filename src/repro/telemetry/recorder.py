@@ -3,20 +3,19 @@
 The daemon keeps the last *N* completed requests in memory so "what happened
 to request X?" is answerable after the fact without log scraping: for each
 request it records the frames sent, queue wait, run/total phase timings,
-outcome (``done``/``busy``/``timeout``/``cancelled``/``disconnected``/
-``error``), warm-vs-cold classification, cache hit counts, and the
-retry/rebuild/fault counter deltas the request incurred.  Records cross a
-slow-request threshold are counted separately and the most recent error is
-retained (type + message + timestamp) so ``daemon status`` health probes see
-failures without tailing anything.
+outcome (``done``/``busy``/``disconnected``/``error``), warm-vs-cold
+classification, cache hit counts, and the retry/rebuild/fault counter
+deltas the request incurred.  Records cross a slow-request threshold are
+counted separately and the most recent error is retained (type + message +
+timestamp) so ``daemon status`` health probes see failures without tailing
+anything.
 
 Cost model (enforced by tests): **zero allocation while the daemon is
 idle** -- nothing runs until a work request arrives -- and **O(ring)
 memory always**: completed records land in a ``deque(maxlen=capacity)``,
 so the recorder can never grow past its configured capacity no matter how
-long the daemon lives.  ``capacity=0`` disables recording entirely
-(:meth:`FlightRecorder.begin` returns ``None`` and every other method
-degrades to a cheap no-op answer).
+long the daemon lives.  The capacity is at least 1, so every work request
+the daemon accepts leaves a record.
 
 Completed records are stored as plain JSON-safe dicts; the daemon's
 ``dump`` op returns the whole ring and ``tail`` the newest records, with a
@@ -35,8 +34,8 @@ from typing import Any
 class RequestRecord:
     """Mutable per-request diagnostic record, finalized into the ring.
 
-    The daemon handler creates one per work request (after admission
-    control assigns a request id), mutates it as the request progresses
+    The daemon handler creates one per work request (under the request id
+    the daemon assigned it), mutates it as the request progresses
     (frame counts, queue wait, cache totals, outcome), and hands it back to
     :meth:`FlightRecorder.complete` in a ``finally`` block so every exit
     path -- including handler crashes and client disconnects -- leaves a
@@ -132,33 +131,29 @@ class FlightRecorder:
     """Thread-safe bounded ring buffer of completed :class:`RequestRecord`\\ s."""
 
     def __init__(self, capacity: int = 256, slow_threshold_s: float = 1.0):
-        self.capacity = max(0, int(capacity))
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
         self.slow_threshold_s = float(slow_threshold_s)
-        self._ring: deque[dict[str, Any]] = deque(maxlen=self.capacity or 1)
+        self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
         self._cond = threading.Condition()
         self._seq = 0
         self._total = 0
         self._slow = 0
         self._last_error: dict[str, Any] | None = None
 
-    @property
-    def enabled(self) -> bool:
-        return self.capacity > 0
-
-    def begin(self, request_id: str, op: str, trace_id: str | None = None) -> RequestRecord | None:
-        """Open a record for a new work request (``None`` when disabled)."""
-        if not self.enabled:
-            return None
+    def begin(self, request_id: str, op: str, trace_id: str | None = None) -> RequestRecord:
+        """Open a record for a new work request."""
         return RequestRecord(request_id, op, trace_id)
 
-    def complete(self, record: RequestRecord | None) -> dict[str, Any] | None:
+    def complete(self, record: RequestRecord) -> dict[str, Any] | None:
         """Finalize ``record`` into the ring; returns its stored snapshot.
 
         Idempotent: a record that already completed (``seq`` assigned) is
         left alone, so the daemon can complete eagerly before the terminal
         frame goes out *and* unconditionally in a ``finally`` safety net.
         """
-        if record is None or not self.enabled or record.seq:
+        if record.seq:
             return None
         record.duration_s = time.perf_counter() - record._t0
         record.slow = record.duration_s >= self.slow_threshold_s
@@ -187,7 +182,7 @@ class FlightRecorder:
     def records(self, last: int | None = None) -> list[dict[str, Any]]:
         """Snapshot of the ring, oldest first (``last`` newest when given)."""
         with self._cond:
-            records = list(self._ring) if self.enabled else []
+            records = list(self._ring)
         if last is not None and last >= 0:
             records = records[len(records) - min(last, len(records)):]
         return records
@@ -203,8 +198,6 @@ class FlightRecorder:
         timeout lapses -- callers re-poll so disconnects are noticed), then
         return everything newer than the caller's cursor still in the ring.
         """
-        if not self.enabled:
-            return []
         deadline = time.monotonic() + timeout
         with self._cond:
             while self._seq <= seq:
@@ -224,9 +217,8 @@ class FlightRecorder:
                     "age_s": round(max(0.0, time.time() - self._last_error["ts"]), 3),
                 }
             return {
-                "enabled": self.enabled,
                 "capacity": self.capacity,
-                "occupancy": len(self._ring) if self.enabled else 0,
+                "occupancy": len(self._ring),
                 "recorded_total": self._total,
                 "slow_requests": self._slow,
                 "slow_threshold_s": self.slow_threshold_s,
@@ -236,7 +228,7 @@ class FlightRecorder:
     def dump(self) -> dict[str, Any]:
         """Full ring + summary -- the payload of the daemon ``dump`` op."""
         with self._cond:
-            records = list(self._ring) if self.enabled else []
+            records = list(self._ring)
             return {
                 "capacity": self.capacity,
                 "slow_threshold_s": self.slow_threshold_s,

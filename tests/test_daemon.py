@@ -13,6 +13,7 @@ import json
 import os
 import signal
 import socket
+import sys
 import tempfile
 import threading
 import time
@@ -21,13 +22,10 @@ import pytest
 
 from repro import telemetry
 from repro.engine import (
-    CancelToken,
     DaemonClient,
     DaemonError,
     ExperimentDaemon,
     ExperimentJob,
-    FaultInjector,
-    FaultPlan,
     MemoryIndexCache,
     ResultCache,
     default_socket_path,
@@ -43,7 +41,7 @@ from repro.engine.client import (
     recv_frame,
     send_frame,
 )
-from repro.engine.daemon import _acquire_bind_lock
+from repro.engine.daemon import RequestQueue, _acquire_bind_lock
 from repro.experiments.__main__ import main
 
 pytestmark = pytest.mark.skipif(
@@ -155,6 +153,125 @@ class TestMemoryIndexCache:
             MemoryIndexCache(ResultCache(tmp_path), max_entries=0)
 
 
+class TestRequestQueue:
+    """Admission driven directly by threads, with no daemon and no sleeps.
+
+    The test waits on the queue's own counter changes: every change of
+    ``queued`` or ``inflight`` is mirrored into gauges by
+    ``_update_gauges``, which is wrapped here to wake the test.
+    """
+
+    @staticmethod
+    def _watch(queue):
+        """Returns ``until(predicate)``, re-checked at each counter change."""
+        changed = threading.Condition()
+        mirror = queue._update_gauges
+
+        def mirror_and_wake():
+            mirror()
+            with changed:
+                changed.notify_all()
+
+        queue._update_gauges = mirror_and_wake
+
+        def until(predicate):
+            with changed:
+                assert changed.wait_for(predicate, timeout=30.0), "queue never got there"
+
+        return until
+
+    @staticmethod
+    def _enter_now(queue):
+        """``queue.enter()`` on a thread: fails, rather than hangs, if it waits."""
+        answers = []
+        caller = threading.Thread(target=lambda: answers.append(queue.enter()), daemon=True)
+        caller.start()
+        caller.join(timeout=30.0)
+        assert answers, "enter() waited instead of answering at once"
+        return answers[0]
+
+    def test_waiters_are_admitted_in_fifo_order(self):
+        queue = RequestQueue(max_inflight=1, queue_depth=2)
+        until = self._watch(queue)
+        assert queue.enter()  # takes the only slot
+        admitted = []
+
+        def wait_for_a_slot(name):
+            assert queue.enter()
+            admitted.append(name)
+
+        waiters = []
+        for name in ("first", "second"):
+            waiter = threading.Thread(target=wait_for_a_slot, args=(name,), daemon=True)
+            waiter.start()
+            waiters.append(waiter)
+            until(lambda: queue.queued == len(waiters))
+        queue.leave()
+        waiters[0].join(timeout=30.0)
+        assert admitted == ["first"]
+        assert queue.queued == 1 and queue.inflight == 1
+        queue.leave()
+        waiters[1].join(timeout=30.0)
+        assert admitted == ["first", "second"]
+        assert queue.queued == 0 and queue.inflight == 1
+
+    def test_full_queue_refuses_at_once(self):
+        queue = RequestQueue(max_inflight=1, queue_depth=1)
+        until = self._watch(queue)
+        assert queue.enter()
+        waiter = threading.Thread(target=queue.enter, daemon=True)
+        waiter.start()
+        until(lambda: queue.queued == 1)
+        assert self._enter_now(queue) is False
+        assert queue.queued == 1 and queue.inflight == 1
+        queue.leave()
+        waiter.join(timeout=30.0)
+        assert not waiter.is_alive()
+        assert queue.queued == 0 and queue.inflight == 1
+
+    def test_zero_depth_queue_refuses_when_full(self):
+        queue = RequestQueue(max_inflight=2, queue_depth=0)
+        assert queue.enter() and queue.enter()
+        assert self._enter_now(queue) is False
+        assert queue.queued == 0 and queue.inflight == 2
+        queue.leave()
+        assert queue.enter()  # the freed slot admits again
+
+    def test_many_callers_share_the_slots(self):
+        # More callers than cores, switching threads often: every caller is
+        # admitted in turn (a lost wake-up would strand one) and no more
+        # than max_inflight ever hold a slot at once.
+        queue = RequestQueue(max_inflight=2, queue_depth=8)
+        lock = threading.Lock()
+        state = {"running": 0, "peak": 0, "served": 0}
+
+        def caller():
+            for _ in range(50):
+                if not queue.enter():
+                    return
+                with lock:
+                    state["running"] += 1
+                    state["peak"] = max(state["peak"], state["running"])
+                with lock:
+                    state["running"] -= 1
+                    state["served"] += 1
+                queue.leave()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, daemon=True) for _ in range(8)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert state["served"] == 8 * 50 and state["peak"] <= 2
+        assert queue.inflight == queue.queued == 0
+
+
 @pytest.fixture
 def daemon(tmp_path):
     """A live in-process daemon on a private socket; yields its client."""
@@ -225,18 +342,44 @@ class TestDaemonServer:
         "field, value, message",
         [
             ("shard_size", True, "shard_size must be a positive int"),
-            ("timeout_s", True, "timeout_s must be a positive number"),
-            ("timeout_s", float("nan"), "timeout_s must be a positive number"),
-            ("timeout_s", float("inf"), "timeout_s must be a positive number"),
+            ("shard_size", 2.0, "shard_size must be a positive int"),
+            ("shard_size", -1, "shard_size must be a positive int"),
         ],
     )
     def test_malformed_submit_field_is_refused(self, daemon, field, value, message):
-        # A bool is not a count (``true`` would read as 1), and a deadline
-        # of NaN or infinity never passes.
+        # A bool is not a count (``true`` would read as 1), nor is a float,
+        # and a shard holds at least one unit.
         frames = list(daemon.submit(["table1"], **{field: value}))
         assert [frame["type"] for frame in frames] == ["error"]
         assert message in frames[0]["message"]
-        assert daemon.status()["active_requests"] == 0
+        status = daemon.status()
+        assert status["inflight"] == status["queued"] == 0
+
+    def test_request_ids_are_assigned_by_the_daemon(self, daemon):
+        # Every submit gets the daemon's next req-N; an id the client sends
+        # is not adopted.
+        job = ExperimentJob("table1", quick=True)
+        named = {
+            "op": "submit",
+            "jobs": [{"kind": job.kind, "config": job.config}],
+            "request_id": "mine",
+        }
+        streams = [
+            list(daemon.submit(["table1"])),
+            list(daemon._frames(named)),
+            list(daemon.submit(["table1"])),
+        ]
+        ids = [frames[0]["request_id"] for frames in streams]
+        assert ids == ["req-1", "req-2", "req-3"]
+        for frames in streams:
+            assert frames[-1]["type"] == "done"
+            assert frames[-1]["request_id"] == frames[0]["request_id"]
+        assert [record["request_id"] for record in daemon.dump()["records"]] == ids
+
+    def test_cancel_is_an_unknown_op(self, daemon):
+        # Requests end done, busy or disconnected; nothing cancels them.
+        response = daemon.request({"op": "cancel", "request_id": "req-1"})
+        assert response == {"type": "error", "message": "unknown op 'cancel'"}
 
     def test_submit_with_stale_code_version_is_refused(self, daemon):
         frames = list(daemon.submit(["table1"], code_version="not-the-daemon's"))
@@ -253,7 +396,8 @@ class TestDaemonServer:
         frames = list(daemon.work([{"kind": "montecarlo-point", "config": {}}]))
         assert [frame["type"] for frame in frames] == ["error"]
         assert "unknown job kind 'montecarlo-point'" in frames[0]["message"]
-        assert daemon.status()["active_requests"] == 0
+        status = daemon.status()
+        assert status["inflight"] == status["queued"] == 0
 
     def test_submit_with_matching_code_version_runs(self, daemon):
         from repro.engine import source_fingerprint
@@ -462,7 +606,8 @@ class TestDaemonTelemetry:
         assert [frame["type"] for frame in frames] == ["error"]
         assert "bad fleet-traffic job config" in frames[0]["message"]
         status = daemon.status()
-        assert status["active_requests"] == 0 and status["index_entries"] == 0
+        assert status["inflight"] == status["queued"] == 0
+        assert status["index_entries"] == 0
         assert len(ResultCache(tmp_path / "cache")) == 0
         clean = list(daemon.fleet(FLEET_CONFIG))
         assert clean[-1]["type"] == "done" and clean[-1]["misses"] >= 1
@@ -494,8 +639,12 @@ class TestDaemonTelemetry:
         frames = list(daemon.fleet(dict(FLEET_CONFIG, **override)))
         assert [frame["type"] for frame in frames] == ["error"]
         assert "bad fleet-traffic job config" in frames[0]["message"]
+        if "fleet_seed" in override:
+            # The refusal names the job's own field, not FleetConfig.seed.
+            assert "fleet_seed must be an int" in frames[0]["message"]
         status = daemon.status()
-        assert status["active_requests"] == 0 and status["index_entries"] == 0
+        assert status["inflight"] == status["queued"] == 0
+        assert status["index_entries"] == 0
         assert len(ResultCache(tmp_path / "cache")) == 0
 
     @pytest.mark.parametrize(
@@ -513,7 +662,8 @@ class TestDaemonTelemetry:
         assert [frame["type"] for frame in frames] == ["error"]
         assert f"bad experiment job config: {reason}" in frames[0]["message"]
         status = daemon.status()
-        assert status["active_requests"] == 0 and status["index_entries"] == 0
+        assert status["inflight"] == status["queued"] == 0
+        assert status["index_entries"] == 0
         assert len(ResultCache(tmp_path / "cache")) == 0
 
     def test_fleet_op_requires_a_config_object(self, daemon):
@@ -676,7 +826,6 @@ class TestServiceHealth:
         assert status["uptime_s"] >= 0.0
         assert status["inflight"] == 0
         assert status["queued"] == 0
-        assert status["active_requests"] == 0
         assert status["max_inflight"] == 4
         assert status["queue_depth_limit"] == 16
         assert status["pool_size"] == 2
@@ -684,21 +833,37 @@ class TestServiceHealth:
         assert status["retry_attempts"] == 3
 
 
-#: Holder request used to saturate a daemon deterministically: sharded fleet
-#: traffic produces a long event stream, and ``delay_frame_s`` stretches
-#: every frame send, so the request stays in flight for multiple seconds
-#: while the test lines up competing clients.
-HOLD_DELAY_S = 0.3
+#: Holder request used to saturate a daemon: sharded fleet traffic, a long
+#: event stream.  Under the ``hold`` gate it parks before its first event
+#: frame, so it keeps its admission slot until the test opens the gate.
 HOLD_FLEET = dict(FLEET_CONFIG, fleet_seed=101)
 
 
+@pytest.fixture
+def hold(monkeypatch):
+    """Park every handler before each ``event`` frame until the gate opens.
+
+    A held request stays in flight for as long as a test needs it to, with
+    no sleeps: the test lines up competing clients, then sets the returned
+    gate.  Each wait is bounded at 30 s, so a broken test cannot hang the
+    suite; teardown opens the gate.
+    """
+    gate = threading.Event()
+    original = daemon_mod._Handler._send
+
+    def park_then_send(handler, message):
+        if message.get("type") == "event":
+            gate.wait(timeout=30.0)
+        original(handler, message)
+
+    monkeypatch.setattr(daemon_mod._Handler, "_send", park_then_send)
+    yield gate
+    gate.set()
+
+
 class TestAdmissionControl:
-    def test_third_client_gets_busy_while_two_are_served(self, make_daemon):
-        client = make_daemon(
-            max_inflight=1,
-            queue_depth=1,
-            faults=FaultInjector(FaultPlan(delay_frame_s=HOLD_DELAY_S)),
-        )
+    def test_third_client_gets_busy_while_two_are_served(self, make_daemon, hold):
+        client = make_daemon(max_inflight=1, queue_depth=1)
         busy_before = client.status()["metrics"]["counters"].get(
             telemetry.DAEMON_REQUESTS_BUSY, 0
         )
@@ -717,6 +882,7 @@ class TestAdmissionControl:
         assert refused[-1]["type"] == "busy"
         assert "at capacity" in refused[-1]["message"]
 
+        hold.set()
         first_thread.join(timeout=60.0)
         second_thread.join(timeout=60.0)
         # Both admitted clients were served completely and correctly.
@@ -730,56 +896,32 @@ class TestAdmissionControl:
         counters = client.status()["metrics"]["counters"]
         assert counters[telemetry.DAEMON_REQUESTS_BUSY] == busy_before + 1
 
-    def test_queued_request_times_out_with_phase(self, make_daemon):
-        client = make_daemon(
-            max_inflight=1,
-            queue_depth=4,
-            faults=FaultInjector(FaultPlan(delay_frame_s=HOLD_DELAY_S)),
-        )
+    def test_queued_request_waits_then_is_served(self, make_daemon, hold):
+        client = make_daemon(max_inflight=1, queue_depth=4)
         holder, holder_thread = _submit_async(
             client, fleet=HOLD_FLEET, shard_size=2
         )
         _await_status(client, inflight=1)
-        frames = list(client.submit(["table1"], timeout_s=0.5))
-        assert [frame["type"] for frame in frames] == ["accepted", "timeout"]
-        assert frames[-1]["phase"] == "queued"
-        assert "deadline passed while queued" in frames[-1]["message"]
+        queued, queued_thread = _submit_async(client, ["table1"])
+        _await_status(client, inflight=1, queued=1)
+
+        hold.set()
         holder_thread.join(timeout=60.0)
-        assert holder[-1]["type"] == "done"  # the holder was unaffected
+        queued_thread.join(timeout=60.0)
+        assert holder[-1]["type"] == "done"
+        # Accepted while the holder ran, then admitted once its slot freed.
+        assert queued[0]["type"] == "accepted"
+        assert queued[0]["inflight"] == 1 and queued[0]["queued"] == 0
+        assert queued[-1]["type"] == "done"
+        records = {record["request_id"]: record for record in client.dump()["records"]}
+        record = records[queued[0]["request_id"]]
+        assert record["outcome"] == "done"
+        assert record["queue_wait_s"] > 0.0
+        status = client.status()
+        assert status["inflight"] == status["queued"] == 0
 
-    def test_running_request_times_out_with_phase(self, make_daemon):
-        client = make_daemon(
-            faults=FaultInjector(FaultPlan(delay_frame_s=HOLD_DELAY_S)),
-        )
-        frames = list(client.submit(["table2"], timeout_s=0.5))
-        assert frames[0]["type"] == "accepted"
-        assert frames[-1]["type"] == "timeout"
-        assert frames[-1]["phase"] == "running"
-        counters = client.status()["metrics"]["counters"]
-        assert counters[telemetry.DAEMON_REQUESTS_TIMEOUT] >= 1
-
-    def test_cancel_op_aborts_a_running_request(self, make_daemon):
-        client = make_daemon(
-            faults=FaultInjector(FaultPlan(delay_frame_s=HOLD_DELAY_S)),
-        )
-        frames, thread = _submit_async(
-            client, fleet=HOLD_FLEET, shard_size=2, request_id="req-cancel-me"
-        )
-        _await_status(client, inflight=1)
-        assert client.cancel("req-cancel-me") is True
-        thread.join(timeout=60.0)
-        assert frames[0]["type"] == "accepted"
-        assert frames[0]["request_id"] == "req-cancel-me"
-        assert frames[-1]["type"] == "cancelled"
-        assert frames[-1]["request_id"] == "req-cancel-me"
-        # Settled requests are unregistered: cancelling again finds nothing.
-        assert client.cancel("req-cancel-me") is False
-        assert client.cancel("never-existed") is False
-
-    def test_disconnected_client_is_reaped_and_others_served(self, make_daemon):
-        client = make_daemon(
-            faults=FaultInjector(FaultPlan(delay_frame_s=HOLD_DELAY_S)),
-        )
+    def test_disconnected_client_is_reaped_and_others_served(self, make_daemon, hold):
+        client = make_daemon()
         disconnects_before = client.status()["metrics"]["counters"].get(
             telemetry.DAEMON_DISCONNECTS, 0
         )
@@ -798,6 +940,9 @@ class TestAdmissionControl:
                 },
             )
             assert recv_frame(stream)["type"] == "accepted"
+        # The socket is closed; the parked handler's next send finds the
+        # peer gone.
+        hold.set()
         # The server reaps the dead peer: the slot frees and the disconnect
         # is counted (in-flight shards drain into the cache meanwhile).
         deadline = time.time() + 30.0
@@ -807,8 +952,7 @@ class TestAdmissionControl:
             if (
                 counters.get(telemetry.DAEMON_DISCONNECTS, 0)
                 > disconnects_before
-                and status["inflight"] == 0
-                and status["active_requests"] == 0
+                and status["inflight"] == status["queued"] == 0
             ):
                 break
             assert time.time() < deadline, "disconnect was never reaped"
@@ -819,13 +963,14 @@ class TestAdmissionControl:
 
 
 class TestRequestRelease:
-    """A request's id is released before its terminal frame is sent.
+    """A request is released before its terminal frame is sent.
 
     A gate parks each handler thread right after it sends a terminal frame,
-    until the test has reacted to that frame.  This pins open the window in
-    which a release that trailed the frame let ``cancel`` find a settled
-    request, or refused a resubmission under the same id as in flight.  The
-    tests wait on frames and on the gate, never on sleeps.
+    until the test has looked at the daemon.  By then the request's record
+    must be in the flight recorder's ring and its admission slot free, so a
+    client reacting to ``done`` -- dumping the recorder after each request,
+    say -- finds the request settled.  The test waits on frames and on the
+    gate, never on sleeps.
     """
 
     @pytest.fixture
@@ -842,60 +987,43 @@ class TestRequestRelease:
         yield gate
         gate.set()
 
-    def test_cancel_then_recancel_and_reuse_the_id(self, make_daemon, gate):
-        client = make_daemon(
-            max_inflight=1,
-            faults=FaultInjector(FaultPlan(delay_frame_s=HOLD_DELAY_S)),
-        )
-        # A holder occupies the only slot, so every attempt below waits in
-        # the queue until its cancel settles it.
+    def test_done_request_is_recorded_before_its_frame_is_sent(
+        self, make_daemon, gate
+    ):
+        client = make_daemon()
+        for _ in range(5):
+            gate.clear()
+            frames = list(client.submit(["table1"]))
+            assert frames[-1]["type"] == "done", frames[-1]
+            # The handler is still parked after ``done``.
+            record = client.dump()["records"][-1]
+            assert record["request_id"] == frames[0]["request_id"]
+            assert record["outcome"] == "done"
+            assert record["frames"]["done"] == 1
+            assert client.status()["inflight"] == 0
+            gate.set()
+
+    def test_busy_request_is_recorded_before_its_frame_is_sent(
+        self, make_daemon, hold, gate
+    ):
+        client = make_daemon(max_inflight=1, queue_depth=0)
         holder, holder_thread = _submit_async(
-            client, fleet=HOLD_FLEET, shard_size=2, request_id="req-holder"
+            client, fleet=HOLD_FLEET, shard_size=2
         )
         _await_status(client, inflight=1)
-        for _ in range(5):
-            gate.clear()
-            stream = client.submit(["table1"], request_id="req-reused")
-            frames = [next(stream)]
-            assert frames[0]["type"] == "accepted"
-            assert client.cancel("req-reused") is True
-            frames.extend(stream)
-            assert frames[-1]["type"] == "cancelled"
-            assert frames[-1]["request_id"] == "req-reused"
-            # The handler is still parked after its terminal frame.
-            assert client.cancel("req-reused") is False
-            gate.set()
-        assert client.cancel("req-holder") is True
+        frames = list(client.submit(["table1"]))
+        assert [frame["type"] for frame in frames] == ["accepted", "busy"]
+        # The refused handler is still parked after ``busy``; the holder's
+        # request is still in flight, so the ring holds only this record.
+        (record,) = client.dump()["records"]
+        assert record["request_id"] == frames[0]["request_id"]
+        assert record["outcome"] == "busy"
+        assert record["frames"] == {"accepted": 1, "busy": 1}
+        assert record["jobs"] == 0
+        gate.set()
+        hold.set()
         holder_thread.join(timeout=60.0)
-        assert holder[-1]["type"] == "cancelled"
-
-    def test_done_then_resubmit_with_the_same_id(self, make_daemon, gate):
-        client = make_daemon()
-        for _ in range(5):
-            gate.clear()
-            first = list(client.submit(["table1"], request_id="req-again"))
-            assert first[-1]["type"] == "done", first[-1]
-            # The first handler is parked after ``done``; the id is free.
-            assert client.cancel("req-again") is False
-            assert client.status()["active_requests"] == 0
-            second = list(client.submit(["table1"], request_id="req-again"))
-            assert second[0]["type"] == "accepted"
-            assert second[-1]["type"] == "done", second[-1]
-            assert second[-1]["request_id"] == "req-again"
-            gate.set()
-
-    def test_release_keeps_a_newer_owner_of_the_id(self, make_daemon):
-        client = make_daemon()
-        first, second = CancelToken(), CancelToken()
-        server = client.server
-        assert server.register_request("req-x", first)
-        server.unregister_request("req-x", first)
-        assert server.register_request("req-x", second)
-        # A late release from the first owner must not free the second's id.
-        server.unregister_request("req-x", first)
-        assert server.register_request("req-x", CancelToken()) is False
-        server.unregister_request("req-x", second)
-        assert server.register_request("req-x", CancelToken()) is True
+        assert holder[-1]["type"] == "done"
 
 
 class TestWorkerCrashRecovery:
@@ -1059,15 +1187,11 @@ class TestStopDaemonEscalation:
 
 class TestCLIBusyRetry:
     def test_cli_retries_busy_then_degrades_inline(
-        self, make_daemon, tmp_path, capsys, monkeypatch
+        self, make_daemon, hold, tmp_path, capsys, monkeypatch
     ):
         from repro.experiments import __main__ as cli
 
-        client = make_daemon(
-            max_inflight=1,
-            queue_depth=0,
-            faults=FaultInjector(FaultPlan(delay_frame_s=HOLD_DELAY_S)),
-        )
+        client = make_daemon(max_inflight=1, queue_depth=0)
         monkeypatch.setenv("REPRO_DAEMON_SOCKET", str(client.socket_path))
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
         monkeypatch.setattr(cli, "_RETRY_ATTEMPTS", 1)
@@ -1083,6 +1207,7 @@ class TestCLIBusyRetry:
         assert "daemon busy" in captured.err
         assert "retry budget exhausted; running inline" in captured.err
         assert "table2:" in captured.out
+        hold.set()
         holder_thread.join(timeout=60.0)
         assert holder[-1]["type"] == "done"
 
@@ -1153,15 +1278,13 @@ class TestRoutingRule:
         assert captured.out == self._table(events)[1]
         assert "daemon error: unknown experiment(s): table1; running inline" in captured.err
 
-    def test_cancelled_after_output_fails_without_rerunning(self, route, capsys):
+    def test_error_after_output_fails_without_rerunning(self, route, capsys):
         events, install = route
-        cancelled = {"type": "cancelled", "phase": "running",
-                     "message": "request cancelled while running"}
-        install([self.ACCEPTED, *events, cancelled])
+        install([self.ACCEPTED, *events, {"type": "error", "message": "Traceback: boom"}])
         assert main(["table1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == self._table(events)[1]  # printed once
-        assert "daemon cancelled: request cancelled while running" in captured.err
+        assert "daemon error: Traceback: boom; output is incomplete" in captured.err
         assert "running inline" not in captured.err
 
     def test_retried_attempts_start_from_a_fresh_renderer(self, route, capsys):
@@ -1230,18 +1353,60 @@ class TestFlightRecorderOps:
         assert "unknown experiment" in last["message"]
         assert last["age_s"] >= 0.0
 
-    def test_timed_out_request_is_recorded(self, daemon):
-        frames = list(daemon.submit(["table1"], timeout_s=1e-6))
-        assert frames[-1]["type"] == "timeout"
-        record = daemon.dump()["records"][-1]
-        assert record["outcome"] == "timeout"
-        assert record["frames"]["timeout"] == 1
-        assert record["frames"]["accepted"] == 1
+    def test_disconnected_request_is_recorded(self, make_daemon, hold):
+        client = make_daemon()
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.connect(str(client.socket_path))
+        with sock, sock.makefile("rwb") as stream:
+            send_frame(
+                stream,
+                {
+                    "v": PROTOCOL_VERSION,
+                    "op": "submit",
+                    "jobs": [{"kind": "fleet-traffic", "config": dict(HOLD_FLEET)}],
+                    "shard_size": 2,
+                },
+            )
+            accepted = recv_frame(stream)
+        assert accepted["type"] == "accepted"
+        # The handler was parked before its first event; that send now
+        # finds the peer gone.
+        hold.set()
+        records = client.server.recorder.wait_for_newer(0, timeout=30.0)
+        assert records, "the disconnected request was never recorded"
+        (record,) = records
+        assert record["request_id"] == accepted["request_id"]
+        assert record["outcome"] == "disconnected"
+        # No event or terminal frame reached the client.
+        assert record["frames"] == {"accepted": 1}
+
+    def test_one_slot_recorder_serves_identical_results(self, make_daemon):
+        small = make_daemon("small.sock", recorder_capacity=1)
+        cold = list(small.submit(["table2"]))
+        warm = list(small.submit(["table2"]))
+        assert cold[-1]["type"] == warm[-1]["type"] == "done"
+        # The ring keeps only the newest request.
+        dump = small.dump()
+        assert dump["capacity"] == 1
+        assert dump["recorded_total"] == 2 and dump["dropped"] == 1
+        (record,) = dump["records"]
+        assert record["request_id"] == warm[0]["request_id"]
+        assert record["warm"] is True
+        # The ring's size must not change the payload the daemon serves.
+        default = list(make_daemon("default.sock").submit(["table2"]))
+
+        def values(frames):
+            return [
+                frame["event"]["value"] for frame in frames
+                if frame["type"] == "event" and "value" in frame["event"]
+            ]
+
+        assert values(cold)
+        assert values(cold) == values(warm) == values(default)
 
     def test_status_reports_recorder_health(self, daemon):
         recorder = daemon.status()["recorder"]
         assert recorder == {
-            "enabled": True,
             "capacity": 256,
             "occupancy": 0,
             "recorded_total": 0,
@@ -1286,27 +1451,6 @@ class TestFlightRecorderOps:
         assert fresh["seq"] == 2
         follow.close()
 
-    def test_disabled_recorder_serves_identical_results(self, make_daemon):
-        bare = make_daemon("bare.sock", recorder_capacity=0)
-        frames = list(bare.submit(["table2"]))
-        assert frames[-1]["type"] == "done"
-        assert bare.dump()["records"] == []
-        assert bare.tail()["records"] == []
-        recorder = bare.status()["recorder"]
-        assert recorder["enabled"] is False and recorder["occupancy"] == 0
-        # Recording off must not change the payload the daemon serves.
-        recorded = make_daemon("recorded.sock")
-        recorded_frames = list(recorded.submit(["table2"]))
-        value = [
-            f["event"]["value"] for f in frames
-            if f["type"] == "event" and "value" in f["event"]
-        ]
-        recorded_value = [
-            f["event"]["value"] for f in recorded_frames
-            if f["type"] == "event" and "value" in f["event"]
-        ]
-        assert value == recorded_value
-
     def test_dump_and_tail_cli(self, daemon, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_DAEMON_SOCKET", str(daemon.socket_path))
         assert main(["table1"]) == 0
@@ -1321,7 +1465,7 @@ class TestFlightRecorderOps:
         assert json.loads(tail_out.splitlines()[-1])["seq"] == records[-1]["seq"]
 
     def test_recorder_flag_validation(self, capsys):
-        assert main(["daemon", "start", "--recorder-capacity", "-1"]) == 2
+        assert main(["daemon", "start", "--recorder-capacity", "0"]) == 2
         assert "--recorder-capacity" in capsys.readouterr().err
         assert main(["daemon", "start", "--slow-request-s", "0"]) == 2
         assert "--slow-request-s" in capsys.readouterr().err

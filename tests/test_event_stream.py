@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -26,7 +27,6 @@ from repro.engine import (
     FINISHED,
     SCHEDULED,
     STARTED,
-    CancelToken,
     EngineError,
     ExperimentJob,
     Job,
@@ -564,36 +564,23 @@ class TestPoolSupervisor:
             PoolSupervisor(1, backoff_s=-1.0)
 
 
-class TestCancelToken:
-    def test_first_cancel_reason_wins(self):
-        token = CancelToken()
-        token.cancel("disconnected")
-        token.cancel("timeout")
-        assert token.cancelled
-        assert token.reason == "disconnected"
-
-    def test_expired_deadline_promotes_to_timeout(self):
-        token = CancelToken(deadline=time.monotonic() - 1.0)
-        assert not token.cancelled  # nothing fired yet...
-        assert token.poll()  # ... until someone polls
-        assert token.reason == "timeout"
-
+class TestCancelEvent:
     def test_cancel_stops_the_inline_stream_without_terminal_events(self):
-        token = CancelToken()
-        token.cancel()
-        events = list(iter_jobs([SleepJob("never", 0.0)], cancel=token))
+        cancel = threading.Event()
+        cancel.set()
+        events = list(iter_jobs([SleepJob("never", 0.0)], cancel=cancel))
         assert [event.type for event in events] == [SCHEDULED]
 
     def test_cancel_drains_in_flight_and_abandons_queued(self, tmp_path):
         cache = ResultCache(tmp_path)
         jobs = [SleepJob(f"s{i}", 0.3) for i in range(6)]
-        token = CancelToken()
-        stream = iter_jobs(jobs, workers=2, cache=cache, cancel=token)
+        cancel = threading.Event()
+        stream = iter_jobs(jobs, workers=2, cache=cache, cancel=cancel)
         events = []
         for event in stream:
             events.append(event)
             if event.type == STARTED:
-                token.cancel()
+                cancel.set()
         terminal = [event for event in events if event.terminal]
         # At most the two in-flight jobs drained; the queued tail emitted
         # nothing -- and everything that drained landed in the cache.
@@ -602,3 +589,23 @@ class TestCancelToken:
         for event in terminal:
             assert event.outcome.ok
             assert fresh.get(event.job) == event.job.job_id
+
+    def test_cancel_abandons_the_parent_of_unfinished_shards(self, tmp_path):
+        # A client gone mid-stream: the shard that finished lands in the
+        # cache, the next is never started, and the parent neither merges
+        # nor fails.
+        point = MonteCarloPointJob(4.0, 30.0, samples=2 * MC_SAMPLE_BLOCK)
+        cancel = threading.Event()
+        events = []
+        for event in iter_sharded(
+            [point], shard_size=MC_SAMPLE_BLOCK, cache=ResultCache(tmp_path), cancel=cancel
+        ):
+            events.append(event)
+            if event.terminal:
+                cancel.set()
+        (finished,) = [event for event in events if event.terminal]
+        assert finished.type == FINISHED and finished.job is not point
+        assert [event.type for event in events].count(STARTED) == 1
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(finished.job) is not None
+        assert fresh.get(point) is None

@@ -34,7 +34,6 @@ class TestFaultPlan:
         assert plan.kill_worker_on_job is None
         assert plan.drop_connection_after_frames is None
         assert plan.corrupt_cache_store is None
-        assert plan.delay_frame_s == 0.0
 
     @pytest.mark.parametrize(
         "spec, match",
@@ -45,7 +44,7 @@ class TestFaultPlan:
             ({"kill_budget": -1}, "non-negative"),
             ({"drop_budget": -2}, "non-negative"),
             ({"corrupt_budget": -1}, "non-negative"),
-            ({"delay_frame_s": -0.1}, ">= 0"),
+            ({"drop_budget": 0.5}, "non-negative int"),
             ({"kill_worker_on_job": 2}, "requires state_dir"),
         ],
     )
@@ -77,11 +76,11 @@ class TestFaultPlan:
 
     def test_injector_singleton_parses_env_once_per_pid(self, monkeypatch):
         monkeypatch.setenv(
-            faults.FAULTS_ENV, json.dumps({"delay_frame_s": 0.5})
+            faults.FAULTS_ENV, json.dumps({"corrupt_cache_store": 5})
         )
         faults.set_injector(None)
         active = faults.injector()
-        assert active.plan.delay_frame_s == 0.5
+        assert active.plan.corrupt_cache_store == 5
         assert faults.injector() is active  # cached for this pid
 
 

@@ -495,6 +495,12 @@ class TestFleetTrafficJob:
         with pytest.raises(ValueError, match=message):
             traffic_job(**overrides)
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_construction_names_a_mistyped_fleet_seed(self, seed):
+        # The job's own field, not the FleetConfig.seed it is passed on to.
+        with pytest.raises(TypeError, match="^fleet_seed must be an int"):
+            traffic_job(fleet_seed=seed)
+
 class TestFleetExperiments:
     def test_fleet_roc_table_shape(self):
         from repro.experiments.fleet_experiments import ROC_THRESHOLDS

@@ -2,16 +2,17 @@
 
 The recorder's contract with the daemon: every work request leaves exactly
 one JSON-safe record; memory is O(capacity) no matter how many requests the
-daemon has served; a ``capacity=0`` recorder degrades every method to a
-cheap no-op so disabling it cannot change daemon behavior; and the
-monotonic completion sequence backs ``tail --follow`` via
-``wait_for_newer``.
+daemon has served, and a capacity below 1 is refused, so there is no
+disabled mode; and the monotonic completion sequence backs ``tail
+--follow`` via ``wait_for_newer``.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+
+import pytest
 
 from repro.telemetry import FlightRecorder, RequestRecord
 
@@ -84,16 +85,10 @@ class TestFlightRecorder:
         recorder.note_error("OSError", "socket gone")  # crash outside a request
         assert recorder.status()["last_error"]["type"] == "OSError"
 
-    def test_disabled_recorder_is_a_no_op(self):
-        recorder = FlightRecorder(capacity=0)
-        assert not recorder.enabled
-        assert recorder.begin("req-1", "submit") is None
-        assert recorder.complete(None) is None
-        assert recorder.records() == []
-        assert recorder.wait_for_newer(0, timeout=0.01) == []
-        status = recorder.status()
-        assert status["enabled"] is False and status["occupancy"] == 0
-        assert recorder.dump()["records"] == []
+    def test_capacity_zero_is_refused(self):
+        # Every admitted request is recorded: there is no disabled mode.
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            FlightRecorder(capacity=0)
 
     def test_wait_for_newer_returns_only_newer_records(self):
         recorder = FlightRecorder(capacity=8)
@@ -116,7 +111,6 @@ class TestFlightRecorder:
         _complete_one(recorder)
         status = recorder.status()
         assert status == {
-            "enabled": True,
             "capacity": 5,
             "occupancy": 1,
             "recorded_total": 1,

@@ -196,18 +196,12 @@ def test_bench_fleet_daemon_warm(run_once, benchmark, tmp_path):
 
 
 def _auth_latency_percentiles() -> dict[str, object]:
-    """p50/p95/p99 per-auth latency of one telemetry-enabled CODIC replay."""
+    """p50/p95/p99 per-auth latency of one CODIC replay."""
     from repro import telemetry
 
-    was_collecting = telemetry.collection_enabled()
-    telemetry.enable_collection()
     histogram = telemetry.registry().histogram(telemetry.FLEET_AUTH_SECONDS)
     before = telemetry.Histogram.from_dict(histogram.to_dict())
-    try:
-        _traffic_job("CODIC-sig PUF").run()
-    finally:
-        if not was_collecting:
-            telemetry.disable_collection()
+    _traffic_job("CODIC-sig PUF").run()
     return telemetry.percentiles_ms(histogram.subtract(before))
 
 

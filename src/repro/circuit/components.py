@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.circuit.process_variation import ComponentVariation
-
 
 @dataclass(frozen=True)
 class CircuitConstants:
@@ -138,20 +136,3 @@ class PrechargeUnit:
         rate = min(dt_ns / constants.precharge_tau_ns, 1.0)
         bitline.voltage += (average - bitline.voltage) * rate
         reference.voltage += (average - reference.voltage) * rate
-
-
-def make_components(
-    initial_cell_voltage: float,
-    variation: ComponentVariation,
-    constants: CircuitConstants,
-) -> tuple[CellCapacitor, Bitline, Bitline, PrechargeUnit]:
-    """Build the component set for one simulated cell access.
-
-    Returns the cell capacitor, the bitline, the reference (complementary)
-    bitline and the precharge unit, all initialized to their idle state
-    (bitlines precharged, cell holding ``initial_cell_voltage``).
-    """
-    cell = CellCapacitor(voltage=initial_cell_voltage, cap_factor=variation.cell_cap_factor)
-    bitline = Bitline(voltage=constants.vpre, cap_factor=variation.bitline_cap_factor)
-    reference = Bitline(voltage=constants.vpre, cap_factor=1.0)
-    return cell, bitline, reference, PrechargeUnit()

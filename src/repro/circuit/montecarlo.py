@@ -37,7 +37,6 @@ from repro.circuit.process_variation import (
     THERMAL_OFFSET_SIGMA_PER_DEGREE,
     VariationModel,
     VariationParameters,
-    ComponentVariation,
 )
 from repro.circuit.simulator import CellCircuitSimulator
 from repro.circuit.waveform import ControlWaveforms
@@ -231,13 +230,3 @@ class MonteCarloEngine:
             samples=samples,
             bit_flips=flips,
         )
-
-    def sample_variations(
-        self, variation_percent: float, count: int
-    ) -> list[ComponentVariation]:
-        """Draw ``count`` full component-variation samples (helper for tests)."""
-        model = VariationModel(
-            parameters=VariationParameters(variation_percent=variation_percent),
-            rng=np.random.default_rng(self.seed),
-        )
-        return model.sample_many(count)

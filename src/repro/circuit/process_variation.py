@@ -133,12 +133,6 @@ class VariationModel:
         """Draw ``count`` independent component samples."""
         return [self.sample() for _ in range(count)]
 
-    def sample_offsets(self, count: int) -> np.ndarray:
-        """Vectorized draw of ``count`` SA offsets (for Monte Carlo sweeps)."""
-        return STRUCTURAL_SA_OFFSET + self.rng.normal(
-            0.0, self.parameters.sa_offset_sigma, size=count
-        )
-
 
 def _positive(value: float, floor: float = 1e-3) -> float:
     """Clamp a sampled multiplicative factor away from zero/negative values."""

@@ -110,15 +110,6 @@ class SenseAmplifier:
         )
         reference.voltage += (target - reference.voltage) * rate
 
-    def resolve_precharged_value(self) -> int:
-        """Value this SA resolves a perfectly precharged bitline pair to.
-
-        This is the closed-form shortcut used by the Monte Carlo engine and by
-        the chip model: with zero developed differential the regenerative
-        decision is taken purely by the sign of the SA offset.
-        """
-        return 1 if self.effective_offset() >= 0.0 else 0
-
 
 def _offset_weight(differential: float, crossover: float = 0.05) -> float:
     """Weight of the SA offset in the latch decision.

@@ -79,14 +79,6 @@ class ControlWaveforms:
             if any(level == 1 for _, level in self.transitions.get(signal, ()))
         )
 
-    def last_deassert_time(self) -> float:
-        """Time of the final transition across all signals (command latency proxy)."""
-        last = 0.0
-        for signal_transitions in self.transitions.values():
-            for transition_time, _ in signal_transitions:
-                last = max(last, transition_time)
-        return last
-
 
 @dataclass
 class Waveform:

@@ -31,7 +31,6 @@ from repro.dram.commands import CommandType
 from repro.dram.geometry import ModuleGeometry
 from repro.dram.timing import TimingParameters, timing_for_module
 from repro.power.model import CommandEnergyModel
-from repro.utils.units import NS_PER_MS
 
 
 @dataclass(frozen=True)
@@ -43,11 +42,6 @@ class DestructionResult:
     destruction_time_ns: float
     energy_nj: float
     rows_destroyed: int
-
-    @property
-    def destruction_time_ms(self) -> float:
-        """Destruction time in milliseconds (Figure 7 y-axis)."""
-        return self.destruction_time_ns / NS_PER_MS
 
     @property
     def energy_mj(self) -> float:

@@ -73,12 +73,6 @@ class CODICSubstrate:
             variant = self.library.get(variant)
         return self.registers.program_schedule(variant.schedule, register_set)
 
-    def configure_schedule(
-        self, schedule: SignalSchedule, register_set: int = 0
-    ) -> list[MRSCommand]:
-        """Program a raw schedule (design-space exploration path)."""
-        return self.registers.program_schedule(schedule, register_set)
-
     def configured_schedule(self, register_set: int = 0) -> SignalSchedule:
         """Schedule currently held in a register set."""
         return self.registers.read_schedule(register_set)

@@ -109,11 +109,3 @@ class AddressMapper:
         line = line * self.geometry.banks + decoded.bank
         line = line * self.columns_per_row + decoded.column
         return line * self.column_bytes + decoded.byte_offset
-
-    def iter_row_keys(self):
-        """Iterate over every (channel, rank, bank, row) tuple in the module."""
-        for channel in range(self.channels):
-            for rank in range(self.geometry.ranks):
-                for bank in range(self.geometry.banks):
-                    for row in range(self.geometry.chip.rows_per_bank):
-                        yield (channel, rank, bank, row)

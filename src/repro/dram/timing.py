@@ -96,10 +96,6 @@ class TimingParameters:
         whole = int(cycles)
         return whole if abs(cycles - whole) < 1e-9 else whole + 1
 
-    def row_cycle_rate_per_bank(self) -> float:
-        """Maximum row activations per nanosecond within a single bank."""
-        return 1.0 / self.tRC_ns
-
     def scaled_frequency(self, data_rate_mt_s: float) -> "TimingParameters":
         """Return a copy retargeted to a different data rate.
 

@@ -35,10 +35,9 @@ from repro.engine.jobs import Job
 from repro.engine.serialization import canonical_json
 
 
-def _count(name: str, amount: int = 1) -> None:
-    """Bump a global telemetry counter when collection is on (else free)."""
-    if telemetry.collection_enabled():
-        telemetry.registry().counter(name).inc(amount)
+def _count(name: str) -> None:
+    """Bump a global telemetry counter."""
+    telemetry.registry().counter(name).inc()
 
 #: Default cache location; overridable via the CLI or this environment variable.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

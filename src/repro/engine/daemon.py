@@ -53,11 +53,11 @@ its client goes away.
   queue entirely (each connection has its own thread), so health checks
   answer even while the queue is saturated.
 
-The daemon always runs with telemetry collection enabled: work requests
-are timed into the ``daemon_request_seconds`` histogram and classified
-warm (every terminal outcome served from cache) vs cold; busy/disconnect
-outcomes, queue wait and depth, and pool rebuilds are all counted too, and
-``status`` embeds a full metrics snapshot plus service-health fields.
+Metrics: work requests are timed into the ``daemon_request_seconds``
+histogram and classified warm (every terminal outcome served from cache)
+vs cold; busy/disconnect outcomes, queue wait and depth, and pool rebuilds
+are all counted too, and ``status`` embeds a full metrics snapshot plus
+service-health fields.
 Fault injection for all of the above is driven by
 :mod:`repro.engine.faults` (``$REPRO_FAULTS``).
 """
@@ -185,10 +185,9 @@ class RequestQueue:
         return len(self._waiting)
 
     def _update_gauges(self) -> None:
-        if telemetry.collection_enabled():
-            reg = telemetry.registry()
-            reg.gauge(telemetry.DAEMON_INFLIGHT).set(self._inflight)
-            reg.gauge(telemetry.DAEMON_QUEUE_DEPTH).set(len(self._waiting))
+        reg = telemetry.registry()
+        reg.gauge(telemetry.DAEMON_INFLIGHT).set(self._inflight)
+        reg.gauge(telemetry.DAEMON_QUEUE_DEPTH).set(len(self._waiting))
 
     def enter(self) -> bool:
         start = time.perf_counter()
@@ -217,10 +216,9 @@ class RequestQueue:
 
     @staticmethod
     def _observe_wait(start: float) -> None:
-        if telemetry.collection_enabled():
-            telemetry.registry().histogram(
-                telemetry.DAEMON_QUEUE_WAIT_SECONDS
-            ).observe(time.perf_counter() - start)
+        telemetry.registry().histogram(telemetry.DAEMON_QUEUE_WAIT_SECONDS).observe(
+            time.perf_counter() - start
+        )
 
 
 class MemoryIndexCache:
@@ -496,24 +494,26 @@ class _Handler(socketserver.StreamRequestHandler):
         ``disconnected`` -- the peer is gone, so no frame is sent.  The
         request is released *before* its terminal frame goes out, so a
         client reacting to that frame -- dumping the recorder, say -- finds
-        the request's record already in the ring.
+        the request's record already in the ring.  A request settles once:
+        if sending its terminal frame finds the client gone, it stays
+        counted and recorded as the outcome its record already shows.
         """
         record = self._record
+        if record is None:
+            return
         if outcome == "done":
             warm = frame["misses"] == 0
             counter = (
                 telemetry.DAEMON_REQUESTS_WARM if warm else telemetry.DAEMON_REQUESTS_COLD
             )
-            if record is not None:
-                record.warm = warm
-                record.hits = frame["hits"]
-                record.misses = frame["misses"]
-                record.memory_hits = frame["memory_hits"]
+            record.warm = warm
+            record.hits = frame["hits"]
+            record.misses = frame["misses"]
+            record.memory_hits = frame["memory_hits"]
         else:
             counter = _OUTCOME_COUNTERS[outcome]
         telemetry.registry().counter(counter).inc()
-        if record is not None:
-            record.outcome = outcome
+        record.outcome = outcome
         self._release(daemon, None if frame is None else outcome)
         if frame is not None:
             self._send(
@@ -776,10 +776,6 @@ class ExperimentDaemon:
         self._counters_lock = threading.Lock()
         self._request_seq = 0
         self._server: _Server | None = None
-        # A service measures itself: collection is always on in the daemon
-        # (the cost is a few counter bumps per request, and status/metrics
-        # frames are only meaningful with data behind them).
-        telemetry.enable_collection()
         self.trace_path = Path(trace) if trace else None
         if self.trace_path is not None:
             telemetry.enable_tracing(telemetry.TraceWriter(self.trace_path))

@@ -188,8 +188,7 @@ class PoolSupervisor:
                 pass
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
             self.rebuilds += 1
-        if telemetry.collection_enabled():
-            telemetry.registry().counter(telemetry.ENGINE_POOL_REBUILDS).inc()
+        telemetry.registry().counter(telemetry.ENGINE_POOL_REBUILDS).inc()
 
     def backoff_delay(self, attempt: int) -> float:
         """Exponential backoff before retry number ``attempt`` (1-based)."""
@@ -218,53 +217,36 @@ def _span_labels(job: Job) -> dict[str, Any]:
     return labels
 
 
-def _active_registry() -> "telemetry.MetricsRegistry | None":
-    """The metrics registry while collection or tracing is on, else ``None``."""
-    if telemetry.collection_enabled() or telemetry.tracing_active():
-        return telemetry.registry()
-    return None
-
-
-def _run(
-    job: Job,
-    reg: "telemetry.MetricsRegistry | None",
-    parent: str | None = None,
-    **labels: Any,
-) -> tuple[Any, float]:
-    """Run one job under a ``job.run`` span and time it: the one runner
-    behind inline and pool execution.  With telemetry off the span is the
-    shared no-op and ``reg`` is ``None``, so nothing is recorded."""
+def _run(job: Job, parent: str | None = None, **labels: Any) -> tuple[Any, float]:
+    """Run one job under a ``job.run`` span and time it into
+    ``engine_job_run_seconds``: the one runner behind inline and pool
+    execution.  Untraced, the span is the shared no-op."""
     with telemetry.span(
         "job.run", kind="engine", parent=parent, **_span_labels(job), **labels
     ):
         start = time.perf_counter()
         value = job.run()
         duration = time.perf_counter() - start
-    if reg is not None:
-        reg.histogram(telemetry.ENGINE_RUN_SECONDS).observe(duration)
+    telemetry.registry().histogram(telemetry.ENGINE_RUN_SECONDS).observe(duration)
     return value, duration
 
 
 def _pool_run(
-    job: Job, context: "tuple[str | None, float, bool, str | None] | None"
-) -> tuple[Any, float, list[dict[str, Any]], dict[str, Any] | None]:
+    job: Job, context: "tuple[str | None, float, bool, str | None]"
+) -> tuple[Any, float, list[dict[str, Any]], dict[str, Any]]:
     """The pool-worker entry point: ``(value, duration, spans, delta)``.
 
     Also the fault site for injected worker kills, which must never fire in
-    the submitting process.  ``context`` is ``None`` when telemetry is off
-    there; otherwise it is ``(parent_span, submitted_ts, trace, trace_id)``:
-    the worker records queue wait, parents its span onto the submitting span
-    under the request's trace id (one trace tree across the pool), and
-    returns its registry's per-job metric delta -- reset before the job,
-    drained after -- which the parent folds in exactly with
+    the submitting process.  ``context`` is ``(parent_span, submitted_ts,
+    trace, trace_id)``: the worker records queue wait, parents its span onto
+    the submitting span under the request's trace id (one trace tree across
+    the pool), and returns its registry's per-job metric delta -- reset
+    before the job, drained after -- which the parent folds in exactly with
     :meth:`repro.telemetry.MetricsRegistry.merge_snapshot`.  The span buffer
     is drained after every job, so no record outlives its job.
     """
     faults.injector().on_job_start()
-    if context is None:
-        return (*_run(job, None), telemetry.drain_worker_spans(), None)
     parent, submitted_ts, trace, trace_id = context
-    telemetry.enable_collection()
     if trace and not telemetry.tracing_active():
         telemetry.enable_tracing(telemetry.SpanBuffer())
     telemetry.set_trace_id(trace_id)
@@ -274,7 +256,7 @@ def _pool_run(
     reg.reset()
     queue_wait = max(0.0, time.time() - submitted_ts)
     reg.histogram(telemetry.ENGINE_QUEUE_WAIT_SECONDS).observe(queue_wait)
-    value, duration = _run(job, reg, parent, queue_wait_s=round(queue_wait, 6))
+    value, duration = _run(job, parent, queue_wait_s=round(queue_wait, 6))
     return value, duration, telemetry.drain_worker_spans(), reg.drain()
 
 
@@ -319,18 +301,15 @@ def iter_jobs(
     """
     jobs = list(jobs)
     total = len(jobs)
-    # Telemetry is decided once per stream.
-    reg = _active_registry()
-    if reg is not None:
-        reg.counter(telemetry.ENGINE_JOBS_SCHEDULED).inc(total)
+    reg = telemetry.registry()
+    reg.counter(telemetry.ENGINE_JOBS_SCHEDULED).inc(total)
 
     pending: list[int] = []
     for index, job in enumerate(jobs):
         yield JobEvent(SCHEDULED, job, index, total)
         value = cache.get(job) if cache is not None else None
         if value is not None:
-            if reg is not None:
-                reg.counter(telemetry.ENGINE_JOBS_CACHED).inc()
+            reg.counter(telemetry.ENGINE_JOBS_CACHED).inc()
             outcome = JobOutcome(job=job, value=value, cached=True)
             yield JobEvent(CACHED, job, index, total, outcome)
         else:
@@ -344,12 +323,11 @@ def iter_jobs(
                 return
             job = jobs[index]
             yield JobEvent(STARTED, job, index, total)
-            outcome = _run_one(job, cache, reg)
-            if reg is not None:
-                reg.counter(
-                    telemetry.ENGINE_JOBS_FINISHED if outcome.ok
-                    else telemetry.ENGINE_JOBS_FAILED
-                ).inc()
+            outcome = _run_one(job, cache)
+            reg.counter(
+                telemetry.ENGINE_JOBS_FINISHED if outcome.ok
+                else telemetry.ENGINE_JOBS_FAILED
+            ).inc()
             kind = FINISHED if outcome.ok else FAILED
             yield JobEvent(kind, job, index, total, outcome)
             if not outcome.ok:
@@ -369,18 +347,15 @@ def iter_jobs(
 
         def _submit(index: int) -> None:
             attempts[index] = attempts.get(index, 0) + 1
-            context = (
-                (parent_span, time.time(), trace, trace_id) if reg is not None else None
-            )
+            context = (parent_span, time.time(), trace, trace_id)
             futures[supervisor.submit(_pool_run, jobs[index], context)] = index
 
         def _harvest(future, index: int) -> JobEvent:
             """Fold one successful future into the cache; terminal event."""
             value, duration, spans, delta = future.result()
             telemetry.write_records(spans)
-            if reg is not None:
-                reg.merge_snapshot(delta)
-                reg.counter(telemetry.ENGINE_JOBS_FINISHED).inc()
+            reg.merge_snapshot(delta)
+            reg.counter(telemetry.ENGINE_JOBS_FINISHED).inc()
             if cache is not None:
                 cache.put(jobs[index], value)
             outcome = JobOutcome(job=jobs[index], value=value, duration_s=duration)
@@ -423,16 +398,14 @@ def iter_jobs(
                     # it and the retried job returns a bit-identical result
                     # (jobs are pure).
                     if attempts[index] < supervisor.max_attempts:
-                        if reg is not None:
-                            reg.counter(telemetry.ENGINE_JOB_RETRIES).inc()
+                        reg.counter(telemetry.ENGINE_JOB_RETRIES).inc()
                         if not slept_this_round:
                             time.sleep(supervisor.backoff_delay(attempts[index]))
                             slept_this_round = True
                         _submit(index)
                         continue
                     failed = True
-                    if reg is not None:
-                        reg.counter(telemetry.ENGINE_JOBS_FAILED).inc()
+                    reg.counter(telemetry.ENGINE_JOBS_FAILED).inc()
                     error = (
                         f"worker crashed while running this job "
                         f"(gave up after {attempts[index]} attempt(s))\n"
@@ -443,8 +416,7 @@ def iter_jobs(
                     continue
                 except Exception:
                     failed = True
-                    if reg is not None:
-                        reg.counter(telemetry.ENGINE_JOBS_FAILED).inc()
+                    reg.counter(telemetry.ENGINE_JOBS_FAILED).inc()
                     outcome = JobOutcome(job=job, error=traceback.format_exc())
                     yield JobEvent(FAILED, job, index, total, outcome)
                     continue
@@ -459,12 +431,10 @@ def iter_jobs(
             supervisor.shutdown(wait=True, cancel_futures=False)
 
 
-def _run_one(
-    job: Job, cache: ResultCache | None, reg: "telemetry.MetricsRegistry | None"
-) -> JobOutcome:
+def _run_one(job: Job, cache: ResultCache | None) -> JobOutcome:
     """Execute one job inline, storing the result in the cache on success."""
     try:
-        value, duration = _run(job, reg)
+        value, duration = _run(job)
     except Exception:
         return JobOutcome(job=job, error=traceback.format_exc())
     if cache is not None:

@@ -30,7 +30,7 @@ Fault sites wired through the codebase:
   miss and the engine recomputes, bit-identically.
 
 Every fire is recorded in :attr:`FaultInjector.fired` and counted under the
-``faults_injected_total`` telemetry counter when collection is enabled.
+``faults_injected_total`` telemetry counter.
 """
 
 from __future__ import annotations
@@ -129,8 +129,7 @@ class FaultInjector:
     def _fire(self, site: str) -> None:
         with self._lock:
             self.fired[site] = self.fired.get(site, 0) + 1
-        if telemetry.collection_enabled():
-            telemetry.registry().counter(telemetry.FAULTS_INJECTED).inc()
+        telemetry.registry().counter(telemetry.FAULTS_INJECTED).inc()
 
     def _claim_token(self, name: str, budget: int) -> bool:
         """Claim one of ``budget`` cross-process tokens in ``state_dir``."""

@@ -435,7 +435,7 @@ class PUFPairsJob(RangeJob):
         return self.run_range(0, self.pairs)
 
     def run_range(self, start: int, stop: int) -> dict[str, list[float]]:
-        from repro.experiments.puf_experiments import PUF_FACTORIES
+        from repro.puf import PUF_FACTORIES
         from repro.puf.evaluation import PUFEvaluator
 
         population = _paper_population()

@@ -46,7 +46,6 @@ from repro.engine.executor import (
     JobOutcome,
     PoolSupervisor,
     EngineError,
-    _active_registry,
     iter_jobs,
 )
 from repro.engine.jobs import CACHED, FAILED, FINISHED, Job, ShardedJob
@@ -109,10 +108,9 @@ def _merge_outcome(node: _Node, cache: ResultCache | None) -> JobOutcome:
         start = time.perf_counter()
         value = node.job.merge([outcome.value for outcome in child_outcomes])
         elapsed = time.perf_counter() - start
-    reg = _active_registry()
-    if reg is not None:
-        reg.counter(telemetry.ENGINE_MERGES).inc()
-        reg.histogram(telemetry.ENGINE_MERGE_SECONDS).observe(elapsed)
+    reg = telemetry.registry()
+    reg.counter(telemetry.ENGINE_MERGES).inc()
+    reg.histogram(telemetry.ENGINE_MERGE_SECONDS).observe(elapsed)
     if cache is not None:
         cache.put(node.job, value)
     return JobOutcome(

@@ -458,12 +458,9 @@ def _fleet_main(argv: list[str]) -> int:
     if shard_size is None and args.jobs > 1:
         shard_size = -(-args.requests // args.jobs)
 
-    # Latency collection is always on for the fleet CLI (it *is* the
-    # service-grade report); the per-request delta of the shared histogram
-    # attributes this run's observations even when earlier runs in the same
-    # process already recorded some.
-    was_collecting = telemetry.collection_enabled()
-    telemetry.enable_collection()
+    # The latency report is the per-request delta of the shared histogram,
+    # which attributes this run's observations even when earlier runs in the
+    # same process already recorded some.
     trace_writer: telemetry.TraceWriter | None = None
     if args.trace is not None:
         trace_writer = telemetry.TraceWriter(args.trace)
@@ -503,8 +500,6 @@ def _fleet_main(argv: list[str]) -> int:
         if trace_writer is not None:
             telemetry.disable_tracing()
             trace_writer.close()
-        if not was_collecting:
-            telemetry.disable_collection()
 
     summary = TrafficSummary.from_payload(value)
     percentiles = telemetry.percentiles_ms(latency)
@@ -866,9 +861,7 @@ def _dispatch(argv: list[str] | None) -> int:
     from repro.engine.sharding import iter_sharded
 
     trace_writer: telemetry.TraceWriter | None = None
-    was_collecting = telemetry.collection_enabled()
     if args.trace is not None:
-        telemetry.enable_collection()
         trace_writer = telemetry.TraceWriter(args.trace)
         telemetry.enable_tracing(trace_writer)
     try:
@@ -907,8 +900,6 @@ def _dispatch(argv: list[str] | None) -> int:
         if trace_writer is not None:
             telemetry.disable_tracing()
             trace_writer.close()
-            if not was_collecting:
-                telemetry.disable_collection()
 
 
 if __name__ == "__main__":

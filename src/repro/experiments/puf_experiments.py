@@ -15,21 +15,12 @@ from typing import Any, Sequence
 
 from repro.dram.population import paper_population
 from repro.experiments.base import ExperimentResult
-from repro.puf.codic_puf import CODICSigPUF
+from repro.puf import PUF_FACTORIES
 from repro.puf.evaluation import FIGURE6_TEMPERATURE_DELTAS
 from repro.puf.jaccard import JaccardDistribution
-from repro.puf.latency_puf import DRAMLatencyPUF
-from repro.puf.prelat_puf import PreLatPUF
 from repro.puf.timing import PUFTimingModel
 from repro.rng.nist.suite import run_nist_suite
 from repro.rng.stream import signature_bitstream
-
-#: PUF factories in the order the paper plots them.
-PUF_FACTORIES = {
-    "DRAM Latency PUF": lambda module: DRAMLatencyPUF(module),
-    "PreLatPUF": lambda module: PreLatPUF(module),
-    "CODIC-sig PUF": lambda module: CODICSigPUF(module),
-}
 
 #: Voltage classes of Figure 5, as (job voltage key, table label).
 FIG5_VOLTAGE_CLASSES = (("ddr3", "DDR3 (1.50V)"), ("ddr3l", "DDR3L (1.35V)"))

@@ -29,28 +29,20 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from repro.dram.chip import VENDOR_PROFILES
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.module import DRAMModule, SegmentAddress
+from repro.puf import PUF_FACTORIES
 from repro.puf.base import Challenge, DRAMPUF
-from repro.puf.codic_puf import CODICSigPUF
-from repro.puf.latency_puf import DRAMLatencyPUF
-from repro.puf.prelat_puf import PreLatPUF
 from repro.utils.rng import StreamTree, derive_seed
 
-#: PUF classes a fleet can be provisioned with, keyed by the same names the
-#: figure experiments use (:data:`repro.experiments.puf_experiments.
-#: PUF_FACTORIES` -- duplicated here so the fleet layer never imports the
-#: experiment layer).
-FLEET_PUF_FACTORIES: dict[str, Callable[[DRAMModule], DRAMPUF]] = {
-    "DRAM Latency PUF": lambda module: DRAMLatencyPUF(module),
-    "PreLatPUF": lambda module: PreLatPUF(module),
-    "CODIC-sig PUF": lambda module: CODICSigPUF(module),
-}
+#: PUF classes a fleet can be provisioned with: the figure experiments'
+#: table (:data:`repro.puf.PUF_FACTORIES`) under the fleet layer's name.
+FLEET_PUF_FACTORIES = PUF_FACTORIES
 
 #: Vendors are cycled across device identifiers so every fleet mixes the
 #: paper's three vendor profiles.

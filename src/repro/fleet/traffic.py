@@ -257,15 +257,15 @@ def _evaluate_block(
     fleet: DeviceFleet,
     verifier: FleetVerifier,
     plan: _BlockPlan,
-    latency: "telemetry.Histogram | None" = None,
+    latency: "telemetry.Histogram",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grouped evaluation phase: candidates by presenter, one batched Jaccard.
 
     One ascending pass over every device the block touches: a device's
     missing golden slots are enrolled and its candidate responses evaluated
     while the single memoized :class:`~repro.fleet.devices.FleetDevice` is
-    in hand.  When ``latency`` is given, each evaluation group is timed with
-    one clock pair and its mean is attributed to every request in the group
+    in hand.  Each evaluation group is timed with one clock pair and its
+    mean is attributed to every request in the group in ``latency``
     (histogram counts still sum to the request count).
     """
     count = plan.size
@@ -292,7 +292,7 @@ def _evaluate_block(
         if not group:
             continue
         device = fleet.device(device_id)
-        group_start = time.perf_counter() if latency is not None else 0.0
+        group_start = time.perf_counter()
         for position in group:
             challenge = fleet.challenge(
                 int(plan.device_ids[position]), int(plan.challenge_indices[position])
@@ -301,10 +301,9 @@ def _evaluate_block(
                 challenge, float(plan.temperatures[position]), rng=plan.rngs[position]
             )
             candidates[position] = response.position_array
-        if latency is not None:
-            latency.observe_many(
-                (time.perf_counter() - group_start) / len(group), len(group)
-            )
+        latency.observe_many(
+            (time.perf_counter() - group_start) / len(group), len(group)
+        )
     keys = list(zip(plan.device_ids.tolist(), plan.challenge_indices.tolist()))
     buffer, offsets = concat_position_arrays(candidates)
     similarities = verifier.similarity_batch(keys, buffer, offsets)
@@ -328,16 +327,14 @@ def authenticate_block(
     """
     _check_block(fleet, traffic, start, stop)
     plan = _plan_block(fleet, traffic, start, stop)
-    # Service-grade latency, amortized: the collection gate is checked once
-    # per block and each evaluation group is timed with one clock pair (not
-    # one per request).  Timing never touches the RNG streams, so recorded
-    # similarities are bit-identical with collection on or off.
-    reg = telemetry.registry() if telemetry.collection_enabled() else None
-    latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS) if reg is not None else None
+    # Service-grade latency, amortized: each evaluation group is timed with
+    # one clock pair (not one per request).  Timing never touches the RNG
+    # streams, so the similarities are the same bits traced or untraced.
+    reg = telemetry.registry()
+    latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS)
     with telemetry.span("fleet.auth_block", kind="fleet", start=start, stop=stop):
-        genuine, impostor = _evaluate_block(fleet, verifier, plan, latency=latency)
-    if reg is not None:
-        reg.counter(telemetry.FLEET_AUTH_REQUESTS).inc(stop - start)
+        genuine, impostor = _evaluate_block(fleet, verifier, plan, latency)
+    reg.counter(telemetry.FLEET_AUTH_REQUESTS).inc(stop - start)
     return genuine, impostor
 
 
@@ -359,19 +356,17 @@ def authenticate_block_scalar(
     impostor: list[float] = []
     # The scalar path keeps per-request timing (one clock pair per request)
     # -- it is the reference, not the hot path.
-    reg = telemetry.registry() if telemetry.collection_enabled() else None
-    latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS) if reg is not None else None
+    reg = telemetry.registry()
+    latency = reg.histogram(telemetry.FLEET_AUTH_SECONDS)
     with telemetry.span("fleet.auth_block", kind="fleet", start=start, stop=stop):
         for index in range(start, stop):
-            t0 = time.perf_counter() if latency is not None else 0.0
+            t0 = time.perf_counter()
             is_impostor, similarity = authenticate_request(
                 fleet, verifier, traffic, index
             )
-            if latency is not None:
-                latency.observe(time.perf_counter() - t0)
+            latency.observe(time.perf_counter() - t0)
             (impostor if is_impostor else genuine).append(similarity)
-    if reg is not None:
-        reg.counter(telemetry.FLEET_AUTH_REQUESTS).inc(stop - start)
+    reg.counter(telemetry.FLEET_AUTH_REQUESTS).inc(stop - start)
     return (
         np.asarray(genuine, dtype=np.float64),
         np.asarray(impostor, dtype=np.float64),

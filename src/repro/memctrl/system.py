@@ -75,11 +75,6 @@ class SystemStats:
         """Wall-clock completion time of the whole workload."""
         return max(self.core_finish_ns) if self.core_finish_ns else 0.0
 
-    @property
-    def total_cycles(self) -> float:
-        """Sum of cycles across cores (the paper's weighted-speedup basis)."""
-        return sum(self.core_cycles)
-
 
 @dataclass
 class System:

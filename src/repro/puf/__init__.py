@@ -42,6 +42,14 @@ from repro.puf.evaluation import (
 from repro.puf.timing import PUFTimingModel, ResponseTimeEstimate
 from repro.puf.authentication import AuthenticationProtocol, AuthenticationResult
 
+#: PUF classes by the names the figures, the fleet and the job configs use,
+#: in the order the paper plots them.
+PUF_FACTORIES: dict[str, type[DRAMPUF]] = {
+    "DRAM Latency PUF": DRAMLatencyPUF,
+    "PreLatPUF": PreLatPUF,
+    "CODIC-sig PUF": CODICSigPUF,
+}
+
 __all__ = [
     "Challenge",
     "PUFResponse",
@@ -49,6 +57,7 @@ __all__ = [
     "CODICSigPUF",
     "DRAMLatencyPUF",
     "PreLatPUF",
+    "PUF_FACTORIES",
     "majority_filter",
     "intersect_filter",
     "jaccard_index",

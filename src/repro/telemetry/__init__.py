@@ -7,9 +7,10 @@ The observability layer over the engine, daemon, and fleet:
   writer, and a worker-side buffer so spans recorded inside pool workers
   travel back to the tracing process;
 * :mod:`repro.telemetry.metrics` -- a process-global registry of counters,
-  gauges, and fixed-log-bucket histograms whose shard-local instances merge
-  *exactly* (per-bucket integer addition), JSON snapshots, per-job worker
-  deltas (``drain``/``merge_snapshot``), and Prometheus text exposition;
+  gauges, and histograms on one fixed log-bucket layout, whose shard-local
+  instances merge *exactly* (per-bucket integer addition), JSON snapshots,
+  per-job worker deltas (``drain``/``merge_snapshot``), and Prometheus text
+  exposition;
 * :mod:`repro.telemetry.recorder` -- the daemon flight recorder: a bounded
   ring (capacity at least 1) holding one :class:`RequestRecord` per
   accepted work request (frames seen, queue wait, phase timings, outcome,
@@ -18,12 +19,12 @@ The observability layer over the engine, daemon, and fleet:
 
 Design constraints (enforced by tests and CI):
 
-* **zero-cost when disabled** -- spans are a shared no-op until a sink is
-  installed, and metric call sites skip their clock reads until
-  :func:`enable_collection`;
+* **metrics always, spans on demand** -- every instrumented call site
+  records its counters and histograms (a few clock reads and dict updates);
+  spans are a shared no-op until a sink is installed (``--trace``);
 * **never perturbs results** -- no RNG use anywhere (span ids come from a
   counter), no mutation of job values: experiment/fleet JSON is
-  byte-identical with telemetry on or off.
+  byte-identical traced or untraced.
 """
 
 from repro.telemetry.metrics import (
@@ -57,9 +58,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    collection_enabled,
-    disable_collection,
-    enable_collection,
     escape_label_value,
     percentiles_ms,
     registry,
@@ -119,13 +117,10 @@ __all__ = [
     "RequestRecord",
     "SpanBuffer",
     "TraceWriter",
-    "collection_enabled",
     "current_span_id",
     "current_trace_id",
-    "disable_collection",
     "disable_tracing",
     "drain_worker_spans",
-    "enable_collection",
     "enable_tracing",
     "escape_label_value",
     "new_span_id",

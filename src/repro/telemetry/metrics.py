@@ -3,18 +3,17 @@
 The registry mirrors the engine's shard → merge architecture: every worker
 process owns its own :class:`MetricsRegistry`, records into it while running
 a job, and ships the accumulated delta back to the parent as a JSON-safe
-snapshot.  Because histogram buckets live at *fixed* logarithmic boundaries
-(``scale * growth**i``), shard-local histograms merge **exactly** -- merging
-is per-bucket integer addition, so the merged histogram is independent of
-how observations were partitioned across shards, workers, or merge order
-(the property :mod:`tests.test_telemetry` pins down).
+snapshot.  Every histogram shares one layout of *fixed* logarithmic bucket
+boundaries (``BUCKET_SCALE * BUCKET_GROWTH**i``), so shard-local histograms
+merge **exactly** -- merging is per-bucket integer addition, so the merged
+histogram is independent of how observations were partitioned across
+shards, workers, or merge order (the property :mod:`tests.test_telemetry`
+pins down).
 
 Everything is deliberately RNG-free and cheap: recording a histogram
 observation is one ``math.log`` plus two dict updates, and nothing here ever
 touches ``numpy`` random state, so telemetry cannot perturb experiment
-output.  Collection is additionally gated behind a module-level flag
-(:func:`enable_collection`): when disabled, the instrumented call sites skip
-their ``perf_counter`` reads entirely.
+output.  Metrics are always recorded; only spans are opt-in.
 
 Surfacing: :meth:`MetricsRegistry.snapshot` is the JSON wire/status format
 (what ``daemon status`` embeds) and :meth:`MetricsRegistry.render_prometheus`
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Iterable
+from typing import Any
 
 #: Metric name constants -- the catalogue every subsystem records under.
 ENGINE_JOBS_SCHEDULED = "engine_jobs_scheduled_total"
@@ -83,49 +82,43 @@ class Gauge:
         self.value = float(value)
 
 
-#: Default histogram geometry: buckets from 1 microsecond upward, four
+#: The one histogram layout: buckets from 1 microsecond upward, four
 #: buckets per doubling (~9% relative quantile error) -- fixed so every
 #: process's histogram of the same metric merges exactly.
-DEFAULT_SCALE = 1e-6
-DEFAULT_GROWTH = 2.0 ** 0.25
+BUCKET_SCALE = 1e-6
+BUCKET_GROWTH = 2.0 ** 0.25
+_LOG_GROWTH = math.log(BUCKET_GROWTH)
 
 
 class Histogram:
     """Fixed-log-bucket histogram with exact merge and subtract.
 
-    Bucket ``0`` covers ``(-inf, scale]``; bucket ``i >= 1`` covers
-    ``(scale * growth**(i-1), scale * growth**i]``.  Because boundaries are a
-    pure function of ``(scale, growth)``, two histograms of the same metric
-    always share a bucket layout, and :meth:`merge` is per-bucket integer
-    addition -- associative, commutative, and partition-invariant.
+    Bucket ``0`` covers ``(-inf, BUCKET_SCALE]``; bucket ``i >= 1`` covers
+    ``(BUCKET_SCALE * BUCKET_GROWTH**(i-1), BUCKET_SCALE * BUCKET_GROWTH**i]``.
+    Every histogram shares that layout, so :meth:`merge` is per-bucket
+    integer addition -- associative, commutative, and partition-invariant.
     """
 
-    __slots__ = ("scale", "growth", "_log_growth", "buckets", "count", "sum",
-                 "min", "max")
+    __slots__ = ("buckets", "count", "sum", "min", "max")
 
-    def __init__(self, scale: float = DEFAULT_SCALE, growth: float = DEFAULT_GROWTH):
-        if scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        if growth <= 1.0:
-            raise ValueError(f"growth must exceed 1, got {growth}")
-        self.scale = float(scale)
-        self.growth = float(growth)
-        self._log_growth = math.log(self.growth)
+    def __init__(self) -> None:
         self.buckets: dict[int, int] = {}
         self.count = 0
         self.sum = 0.0
         self.min: float | None = None
         self.max: float | None = None
 
-    def bucket_index(self, value: float) -> int:
+    @staticmethod
+    def bucket_index(value: float) -> int:
         """Index of the bucket whose range contains ``value``."""
-        if value <= self.scale:
+        if value <= BUCKET_SCALE:
             return 0
-        return max(0, math.ceil(math.log(value / self.scale) / self._log_growth))
+        return max(0, math.ceil(math.log(value / BUCKET_SCALE) / _LOG_GROWTH))
 
-    def bucket_upper_bound(self, index: int) -> float:
+    @staticmethod
+    def bucket_upper_bound(index: int) -> float:
         """Inclusive upper boundary of bucket ``index``."""
-        return self.scale * self.growth ** index
+        return BUCKET_SCALE * BUCKET_GROWTH ** index
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -160,17 +153,8 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def _check_layout(self, other: "Histogram") -> None:
-        if (self.scale, self.growth) != (other.scale, other.growth):
-            raise ValueError(
-                f"histogram layouts differ: ({self.scale}, {self.growth}) vs "
-                f"({other.scale}, {other.growth}); only identical fixed-bucket "
-                "layouts merge exactly"
-            )
-
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold ``other`` into this histogram in place (exact); returns self."""
-        self._check_layout(other)
         for index, count in other.buckets.items():
             self.buckets[index] = self.buckets.get(index, 0) + count
         self.count += other.count
@@ -189,8 +173,7 @@ class Histogram:
         to one request.  ``min``/``max`` are not recoverable from two
         snapshots and are left unset on the difference.
         """
-        self._check_layout(earlier)
-        delta = Histogram(self.scale, self.growth)
+        delta = Histogram()
         for index, count in self.buckets.items():
             remaining = count - earlier.buckets.get(index, 0)
             if remaining < 0:
@@ -207,7 +190,7 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Approximate quantile from the buckets (log-interpolated).
 
-        Exact to within one bucket's relative width (~``growth - 1``);
+        Exact to within one bucket's relative width (~``BUCKET_GROWTH - 1``);
         clamped to the observed ``min``/``max`` when known so degenerate
         single-value histograms report exactly that value.  Returns ``0.0``
         for an empty histogram.
@@ -224,11 +207,11 @@ class Histogram:
             cumulative += occupancy
             if cumulative >= target:
                 if index == 0:
-                    value = self.scale
+                    value = BUCKET_SCALE
                 else:
                     lower = self.bucket_upper_bound(index - 1)
                     fraction = (target - (cumulative - occupancy)) / occupancy
-                    value = lower * self.growth ** fraction
+                    value = lower * BUCKET_GROWTH ** fraction
                 break
         if self.min is not None:
             value = max(value, self.min)
@@ -237,10 +220,14 @@ class Histogram:
         return value
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe snapshot (bucket keys become strings)."""
+        """JSON-safe snapshot (bucket keys become strings).
+
+        ``scale`` and ``growth`` name the fixed layout for readers of the
+        snapshot; :meth:`from_dict` ignores them.
+        """
         payload: dict[str, Any] = {
-            "scale": self.scale,
-            "growth": self.growth,
+            "scale": BUCKET_SCALE,
+            "growth": BUCKET_GROWTH,
             "count": self.count,
             "sum": self.sum,
             "buckets": {str(index): count for index, count in sorted(self.buckets.items())},
@@ -254,7 +241,7 @@ class Histogram:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "Histogram":
         """Inverse of :meth:`to_dict`."""
-        histogram = cls(scale=payload["scale"], growth=payload["growth"])
+        histogram = cls()
         histogram.buckets = {
             int(index): int(count) for index, count in payload["buckets"].items()
         }
@@ -293,21 +280,11 @@ class MetricsRegistry:
                 gauge = self._gauges[name] = Gauge()
         return gauge
 
-    def histogram(
-        self,
-        name: str,
-        scale: float = DEFAULT_SCALE,
-        growth: float = DEFAULT_GROWTH,
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         with self._lock:
             histogram = self._histograms.get(name)
             if histogram is None:
-                histogram = self._histograms[name] = Histogram(scale, growth)
-            elif (histogram.scale, histogram.growth) != (float(scale), float(growth)):
-                raise ValueError(
-                    f"histogram {name!r} already registered with layout "
-                    f"({histogram.scale}, {histogram.growth})"
-                )
+                histogram = self._histograms[name] = Histogram()
         return histogram
 
     def snapshot(self) -> dict[str, Any]:
@@ -338,8 +315,7 @@ class MetricsRegistry:
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name).set(value)
         for name, payload in snapshot.get("histograms", {}).items():
-            incoming = Histogram.from_dict(payload)
-            self.histogram(name, incoming.scale, incoming.growth).merge(incoming)
+            self.histogram(name).merge(Histogram.from_dict(payload))
 
     def drain(self) -> dict[str, Any]:
         """Snapshot then reset -- the per-job delta a pool worker ships back.
@@ -376,25 +352,25 @@ class MetricsRegistry:
             self._gauges.clear()
             self._histograms.clear()
 
-    def render_prometheus(self, prefix: str = "repro_") -> str:
+    def render_prometheus(self) -> str:
         """Prometheus text exposition of the current state.
 
-        Counters render as ``counter``, gauges as ``gauge``, histograms as
+        Every series name carries the ``repro_`` prefix.  Counters render as ``counter``, gauges as ``gauge``, histograms as
         cumulative ``_bucket{le="..."}`` series (occupied buckets only, which
         is a valid sparse exposition) plus ``_sum`` and ``_count``.
         """
         snapshot = self.snapshot()
         lines: list[str] = []
         for name, value in snapshot["counters"].items():
-            metric = prefix + name
+            metric = "repro_" + name
             lines.append(f"# TYPE {metric} counter")
             lines.append(f"{metric} {value}")
         for name, value in snapshot["gauges"].items():
-            metric = prefix + name
+            metric = "repro_" + name
             lines.append(f"# TYPE {metric} gauge")
             lines.append(f"{metric} {_format_value(value)}")
         for name, payload in snapshot["histograms"].items():
-            metric = prefix + name
+            metric = "repro_" + name
             histogram = Histogram.from_dict(payload)
             lines.append(f"# TYPE {metric} histogram")
             cumulative = 0
@@ -430,38 +406,17 @@ def escape_label_value(value: str) -> str:
 #: Process-global registry every instrumented call site records into.
 _REGISTRY = MetricsRegistry()
 
-#: Collection gate: instrumented hot paths skip their clock reads entirely
-#: until something (the --trace flag, the fleet CLI, the daemon) enables it.
-_COLLECTING = False
-
 
 def registry() -> MetricsRegistry:
     """The process-global metrics registry."""
     return _REGISTRY
 
 
-def enable_collection() -> None:
-    """Turn on metric recording at the instrumented call sites."""
-    global _COLLECTING
-    _COLLECTING = True
-
-
-def disable_collection() -> None:
-    """Turn metric recording back off (tests)."""
-    global _COLLECTING
-    _COLLECTING = False
-
-
-def collection_enabled() -> bool:
-    return _COLLECTING
-
-
-def percentiles_ms(
-    histogram: Histogram, quantiles: Iterable[float] = (0.5, 0.95, 0.99)
-) -> dict[str, float | None]:
-    """``{"p50_ms": ..., ...}`` from a seconds histogram (``None`` when empty)."""
+def percentiles_ms(histogram: Histogram) -> dict[str, float | None]:
+    """``{"count", "p50_ms", "p95_ms", "p99_ms"}`` from a seconds histogram
+    (``None`` percentiles when empty)."""
     report: dict[str, float | None] = {"count": histogram.count}  # type: ignore[dict-item]
-    for q in quantiles:
+    for q in (0.5, 0.95, 0.99):
         key = f"p{q * 100:g}".replace(".", "_") + "_ms"
         report[key] = (
             round(histogram.quantile(q) * 1000.0, 4) if histogram.count else None

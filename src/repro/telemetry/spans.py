@@ -164,10 +164,6 @@ def tracing_active() -> bool:
     return _SINK is not None
 
 
-def current_sink() -> "TraceWriter | SpanBuffer | None":
-    return _SINK
-
-
 def drain_worker_spans() -> list[dict[str, Any]]:
     """Drain the worker-side buffer; ``[]`` when no buffer sink is active."""
     if isinstance(_SINK, SpanBuffer):

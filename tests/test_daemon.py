@@ -969,8 +969,9 @@ class TestRequestRelease:
     until the test has looked at the daemon.  By then the request's record
     must be in the flight recorder's ring and its admission slot free, so a
     client reacting to ``done`` -- dumping the recorder after each request,
-    say -- finds the request settled.  The test waits on frames and on the
-    gate, never on sleeps.
+    say -- finds the request settled, and a client gone by then does not
+    settle it a second time.  The tests wait on frames and on gates, never
+    on sleeps.
     """
 
     @pytest.fixture
@@ -1024,6 +1025,70 @@ class TestRequestRelease:
         hold.set()
         holder_thread.join(timeout=60.0)
         assert holder[-1]["type"] == "done"
+
+    def test_client_gone_at_its_done_frame_is_counted_once(
+        self, make_daemon, monkeypatch
+    ):
+        """A request settles once: a client that goes away while the handler
+        sends its ``done`` frame leaves it counted as the ``done`` its record
+        shows, not also as a disconnect."""
+        client = make_daemon()
+        outcomes = (
+            telemetry.DAEMON_REQUESTS_WARM,
+            telemetry.DAEMON_REQUESTS_COLD,
+            telemetry.DAEMON_REQUESTS_BUSY,
+            telemetry.DAEMON_DISCONNECTS,
+        )
+
+        def settled() -> int:
+            counters = client.status()["metrics"]["counters"]
+            return sum(counters.get(name, 0) for name in outcomes)
+
+        before = settled()
+        parked, gate, finished = threading.Event(), threading.Event(), threading.Event()
+        handlers = []
+        send, finish = daemon_mod._Handler._send, daemon_mod._Handler.finish
+
+        def park_before_done(handler, message):
+            if message.get("type") == "done":
+                handlers.append(handler)
+                parked.set()
+                gate.wait(timeout=30.0)
+            send(handler, message)
+
+        def finish_and_signal(handler):
+            try:
+                finish(handler)
+            finally:
+                if handler in handlers:
+                    finished.set()
+
+        monkeypatch.setattr(daemon_mod._Handler, "_send", park_before_done)
+        monkeypatch.setattr(daemon_mod._Handler, "finish", finish_and_signal)
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.connect(str(client.socket_path))
+        with sock, sock.makefile("rwb") as stream:
+            send_frame(
+                stream,
+                {
+                    "v": PROTOCOL_VERSION,
+                    "op": "submit",
+                    "jobs": [
+                        {"kind": "experiment", "config": ExperimentJob("table1").config}
+                    ],
+                },
+            )
+            accepted = recv_frame(stream)
+            assert accepted["type"] == "accepted"
+            assert parked.wait(timeout=30.0), "handler never reached its done frame"
+        # The socket is closed; the parked handler's send finds the peer gone.
+        gate.set()
+        assert finished.wait(timeout=30.0), "handler never finished"
+        _await_status(client, inflight=0)
+        assert settled() == before + 1
+        record = client.dump()["records"][-1]
+        assert record["request_id"] == accepted["request_id"]
+        assert record["outcome"] == "done"
 
 
 class TestWorkerCrashRecovery:

@@ -171,14 +171,8 @@ class TestCacheCorruption:
         assert cache.get(job) is not None
 
     def test_fires_are_counted_in_telemetry(self):
-        was_collecting = telemetry.collection_enabled()
-        telemetry.enable_collection()
-        try:
-            counter = telemetry.registry().counter(telemetry.FAULTS_INJECTED)
-            before = counter.value
-            plan = faults.FaultPlan(drop_connection_after_frames=1)
-            faults.FaultInjector(plan).on_frame_send(1)
-            assert counter.value == before + 1
-        finally:
-            if not was_collecting:
-                telemetry.disable_collection()
+        counter = telemetry.registry().counter(telemetry.FAULTS_INJECTED)
+        before = counter.value
+        plan = faults.FaultPlan(drop_connection_after_frames=1)
+        faults.FaultInjector(plan).on_frame_send(1)
+        assert counter.value == before + 1

@@ -67,6 +67,14 @@ class TestFleetConfig:
     def test_segment_bytes(self):
         assert CONFIG.segment_bytes == CONFIG.row_bits // 8
 
+    def test_fleet_and_figures_share_one_puf_table(self):
+        from repro.experiments.puf_experiments import PUF_FACTORIES as FIGURE_PUFS
+        from repro.puf import PUF_FACTORIES
+
+        assert FLEET_PUF_FACTORIES is PUF_FACTORIES
+        assert FIGURE_PUFS is PUF_FACTORIES
+        assert list(PUF_FACTORIES) == ["DRAM Latency PUF", "PreLatPUF", "CODIC-sig PUF"]
+
 
 class TestDeviceFleet:
     def test_device_reconstructible_across_instances(self):
@@ -412,7 +420,6 @@ class TestBatchedScalarIdentity:
 
     def test_latency_histogram_counts_sum_to_requests(self):
         telemetry.registry().reset()
-        telemetry.enable_collection()
         try:
             fleet, verifier = fresh_runtime()
             authenticate_block(fleet, verifier, TRAFFIC, 0, 24)
@@ -425,7 +432,6 @@ class TestBatchedScalarIdentity:
             requests = telemetry.registry().counter(telemetry.FLEET_AUTH_REQUESTS)
             assert requests.value == 24
         finally:
-            telemetry.disable_collection()
             telemetry.registry().reset()
 
 

@@ -36,6 +36,7 @@ from repro.engine import (
     ExperimentJob,
     MonteCarloPointJob,
     RangeShard,
+    ResultCache,
     iter_jobs,
     run_sharded,
 )
@@ -170,6 +171,37 @@ class TestHistogram:
         assert restored.min == histogram.min
         assert restored.max == histogram.max
         assert restored.quantile(0.95) == histogram.quantile(0.95)
+
+    def test_to_dict_names_the_one_layout(self):
+        """Status, done frames and worker deltas keep their ``scale`` and
+        ``growth`` fields: every histogram writes the same pair, and
+        ``from_dict`` restores from the buckets alone."""
+        registry = MetricsRegistry()
+        registry.histogram("a").observe(0.001)
+        registry.histogram("b")
+        payloads = registry.snapshot()["histograms"]
+        for payload in payloads.values():
+            assert (payload["scale"], payload["growth"]) == (BUCKET_SCALE, BUCKET_GROWTH)
+        stripped = {
+            key: value for key, value in payloads["a"].items()
+            if key not in ("scale", "growth")
+        }
+        assert Histogram.from_dict(stripped).to_dict() == payloads["a"]
+
+    def test_observe_many_matches_repeated_observe(self):
+        """The bulk form records exactly what ``count`` single calls would."""
+        bulk = Histogram()
+        bulk.observe_many(0.003, 4)
+        bulk.observe_many(2e-7, 2)
+        bulk.observe_many(1.0, 0)  # no observation: min/max untouched
+        one_by_one = _observe_all([0.003] * 4 + [2e-7] * 2)
+        assert bulk.buckets == one_by_one.buckets
+        assert bulk.count == one_by_one.count == 6
+        assert bulk.sum == pytest.approx(one_by_one.sum)
+        assert (bulk.min, bulk.max) == (one_by_one.min, one_by_one.max)
+        with pytest.raises(ValueError, match="non-negative"):
+            bulk.observe_many(0.003, -1)
+        assert bulk.count == 6
 
 
 class TestCounterAndGauge:
@@ -539,3 +571,19 @@ class TestLibraryCallsRecord:
         snapshot = telemetry.registry().snapshot()
         assert snapshot["counters"][telemetry.ENGINE_JOBS_FINISHED] == 1
         assert snapshot["histograms"][telemetry.ENGINE_RUN_SECONDS]["count"] == 1
+
+    def test_result_cache_counts_without_setup(self, tmp_path):
+        """A bare cache records its misses, stores, hits and evictions."""
+        cache = ResultCache(tmp_path / "cache")
+        job = ExperimentJob("table2")
+        assert cache.get(job) is None
+        cache.put(job, job.run())
+        assert cache.get(job) is not None
+        cache.path_for(job).write_text("{not json")
+        assert cache.get(job) is None  # a corrupt blob is a miss and evicted
+        assert not cache.path_for(job).exists()
+        counters = telemetry.registry().snapshot()["counters"]
+        assert counters[telemetry.CACHE_MISSES] == cache.stats.misses == 2
+        assert counters[telemetry.CACHE_STORES] == cache.stats.stores == 1
+        assert counters[telemetry.CACHE_HITS] == cache.stats.hits == 1
+        assert counters[telemetry.CACHE_EVICTIONS] == 1
